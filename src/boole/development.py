@@ -6,7 +6,10 @@ Conventions, fixed once and used everywhere:
 * a sigma is a string over {0, 1} whose i-th character belongs to the
   i-th variable of the (sorted) list;
 * tables hold all 2**m entries and iterate in binary counting order
-  (00, 01, 10, 11, ...).
+  (00, 01, 10, 11, ...);
+* a sigma read as a binary number is the index of its point: bit m-1-i
+  belongs to the i-th variable, the convention of the value kernel in
+  ``polynomial`` and of the bitmasks in ``r01``.
 
 Over variables x1 < ... < xm the constituent of a sigma is the product
 of xi where the bit is 1 and (1 - xi) where it is 0.  Constituents are
@@ -18,17 +21,20 @@ completely.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .polynomial import (
-    ONE,
-    ZERO,
+    Monomial,
     Polynomial,
     check_variable_limit,
+    from_point_values,
     is_valid_name,
+    point_polynomials,
+    point_values,
 )
 
 __all__ = [
@@ -48,8 +54,7 @@ __all__ = [
 
 def sigma_strings(count: int) -> Iterator[str]:
     """All 0/1 strings of the given length, in binary counting order."""
-    for index in range(1 << count):
-        yield format(index, f"0{count}b") if count else ""
+    return map("".join, product("01", repeat=count))
 
 
 def sigma_assignment(sigma: str, variables: Sequence[str]) -> dict[str, int]:
@@ -119,20 +124,13 @@ class DevelopmentTable:
 
 
 def constituent(sigma: str, variables: Sequence[str]) -> Polynomial:
-    """The product over the variable list of x (bit 1) or 1 - x (bit 0)."""
+    """The product over the variable list of x (bit 1) or 1 - x (bit 0):
+    the polynomial that is 1 at sigma and 0 at every other point."""
     names = _check_variables(variables)
     _check_sigma(sigma, len(names))
-    return _constituent(sigma, names)
-
-
-@lru_cache(maxsize=4096)
-def _constituent(sigma: str, names: tuple[str, ...]) -> Polynomial:
-    # Polynomials are immutable, so sharing cached constituents is safe.
-    product = ONE
-    for name, bit in zip(names, sigma):
-        x = Polynomial.variable(name)
-        product = product * (x if bit == "1" else ONE - x)
-    return product
+    one_hot = [0] * (1 << len(names))
+    one_hot[int(sigma, 2) if sigma else 0] = 1
+    return from_point_values({(): one_hot}, names)
 
 
 def develop_partial(
@@ -144,18 +142,9 @@ def develop_partial(
     """Develop over a chosen variable list: the entry at sigma is p with
     those variables replaced by the bits of sigma, a polynomial in the
     remaining variables.  Variables absent from p are allowed."""
-    names = tuple(sorted(set(eliminated)))
-    for name in names:
-        if not is_valid_name(name):
-            raise ValueError(f"invalid variable name {name!r}")
-    check_variable_limit(len(names), max_vars)
-    table: dict[str, Polynomial] = {}
-    for sigma in sigma_strings(len(names)):
-        entry = p
-        for name, bit in zip(names, sigma):
-            entry = entry.substitute(name, int(bit))
-        table[sigma] = entry
-    return DevelopmentTable(names, table)
+    names = _limited(eliminated, max_vars)
+    entries = point_polynomials(p, names)
+    return DevelopmentTable(names, dict(zip(sigma_strings(len(names)), entries)))
 
 
 def develop(
@@ -167,27 +156,21 @@ def develop(
     """The complete development of p: the coefficient at sigma is the
     integer value of p at that 0/1 point.  The variable list defaults to
     the variables of p and may be any superset of them."""
-    if variables is None:
-        names = p.variables()
-    else:
-        names = tuple(sorted(set(variables)))
-        missing = set(p.variables()) - set(names)
-        if missing:
-            raise ValueError(
-                f"development variables must cover the polynomial; missing "
-                f"{sorted(missing)!r}"
-            )
-    return develop_partial(p, names, max_vars=max_vars)
+    return develop_partial(p, _covering(p, variables), max_vars=max_vars)
 
 
 def from_table(table: DevelopmentTable) -> Polynomial:
     """Rebuild the developed polynomial: the sum over sigma of the
     coefficient times the constituent.  Inverse of develop."""
-    total = ZERO
-    for sigma, coeff in table.items():
-        if coeff:
-            total = total + coeff * _constituent(sigma, table.variables)
-    return total
+    names = table.variables
+    groups: defaultdict[Monomial, list[int]] = defaultdict(lambda: [0] * (1 << len(names)))
+    for index, (sigma, coeff) in enumerate(table.items()):
+        bits = dict(zip(names, sigma))
+        for mono, value in coeff.terms.items():
+            # times the constituent of sigma, a table variable is its bit
+            if all(bits.get(name, "1") == "1" for name in mono):
+                groups[tuple(name for name in mono if name not in bits)][index] += value
+    return from_point_values(groups, names)
 
 
 def equal_by_development(
@@ -210,16 +193,10 @@ def first_difference(
 ) -> str | None:
     """The first sigma (in counting order) where the complete developments
     of p and q differ, or None when they are equal."""
-    if variables is None:
-        names: Iterable[str] = sorted(set(p.variables()) | set(q.variables()))
-    else:
-        names = variables
-    left = develop(p, names, max_vars=max_vars)
-    right = develop(q, names, max_vars=max_vars)
-    for sigma, coeff in left.items():
-        if coeff != right[sigma]:
-            return sigma
-    return None
+    both = set(p.variables()) | set(q.variables())
+    names, left = _values(p, both if variables is None else variables, max_vars)
+    right = _values(q, names, max_vars)[1]
+    return next((s for s, a, b in zip(sigma_strings(len(names)), left, right) if a != b), None)
 
 
 def interpretable_core(
@@ -231,12 +208,8 @@ def interpretable_core(
     """The totally interpretable polynomial with the same zero set as p:
     the sum of the constituents at which p is nonzero.  Always idempotent;
     equals p when p is already idempotent."""
-    table = develop(p, variables, max_vars=max_vars)
-    total = ZERO
-    for sigma, coeff in table.items():
-        if coeff:
-            total = total + _constituent(sigma, table.variables)
-    return total
+    names, values = _values(p, variables, max_vars)
+    return from_point_values({(): [1 if value else 0 for value in values]}, names)
 
 
 def constituent_equations(
@@ -247,5 +220,30 @@ def constituent_equations(
 ) -> frozenset[str]:
     """The sigmas whose constituents must vanish for p = 0 to hold: those
     where the development coefficient is nonzero."""
-    table = develop(p, variables, max_vars=max_vars)
-    return frozenset(sigma for sigma, coeff in table.items() if coeff)
+    names, values = _values(p, variables, max_vars)
+    return frozenset(sigma for sigma, value in zip(sigma_strings(len(names)), values) if value)
+
+
+def _limited(variables: Iterable[str], max_vars: int | None) -> tuple[str, ...]:
+    names = _check_variables(sorted(set(variables)))
+    check_variable_limit(len(names), max_vars)
+    return names
+
+
+def _covering(p: Polynomial, variables: Iterable[str] | None) -> Iterable[str]:
+    if variables is None:
+        return p.variables()
+    names = set(variables)
+    missing = set(p.variables()) - names
+    if missing:
+        raise ValueError(
+            f"development variables must cover the polynomial; missing "
+            f"{sorted(missing)!r}"
+        )
+    return names
+
+
+def _values(p: Polynomial, variables: Iterable[str] | None, max_vars: int | None):
+    # The complete development as (variables, value vector).
+    names = _limited(_covering(p, variables), max_vars)
+    return names, point_values(p, names).get((), [0] * (1 << len(names)))

@@ -7,6 +7,14 @@ product is the ordinary polynomial product followed by flattening every
 exponent above one back to one (so ``x * x == x`` for a variable ``x``),
 which keeps the multilinear polynomials closed under multiplication.
 
+A multilinear polynomial over m variables is also fixed by its 2**m
+values at the 0/1 points.  The value kernel at the end of this module
+moves between the two forms: a vector indexed by a bitmask over a sorted
+variable list, bit m-1-i for the i-th name, so that index order is the
+binary counting order of the points.  The subset-sum (zeta) transform
+takes coefficients to values and its Moebius inverse takes values back,
+each in m*2**(m-1) integer additions (Yates's algorithm).
+
 Coefficients are arbitrary-precision Python ints; nothing here can
 overflow.  Values are immutable and safe to share between threads.
 
@@ -22,8 +30,10 @@ True
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 __all__ = [
     "DEFAULT_VARIABLE_LIMIT",
@@ -33,7 +43,10 @@ __all__ = [
     "ONE",
     "ZERO",
     "check_variable_limit",
+    "from_point_values",
     "is_valid_name",
+    "point_polynomials",
+    "point_values",
     "variables",
 ]
 
@@ -169,10 +182,7 @@ class Polynomial:
 
     def variables(self) -> tuple[str, ...]:
         """All variable names occurring in the polynomial, sorted."""
-        seen: set[str] = set()
-        for mono in self._terms:
-            seen.update(mono)
-        return tuple(sorted(seen))
+        return tuple(sorted(_variable_set(self)))
 
     def is_constant(self) -> bool:
         return not self._terms or self._terms.keys() == {()}
@@ -235,32 +245,45 @@ class Polynomial:
         return self
 
     def __mul__(self, other: Union["Polynomial", int]) -> "Polynomial":
+        """The flattening product.  Over n variables in all, operands whose
+        term pairs outnumber n*2**n multiply pointwise as value vectors;
+        otherwise term by term.  Either way no vector is longer than the
+        term-pair count, so the product needs no variable limit."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        table: dict[Monomial, int] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # Monomials multiply by set union; this is where repeated
-                # variables flatten back to the first power.
-                if not m1:
-                    mono = m2
-                elif not m2:
-                    mono = m1
-                else:
-                    mono = tuple(sorted(set(m1) | set(m2)))
-                table[mono] = table.get(mono, 0) + c1 * c2
-        return Polynomial._raw(table)
+        pairs = len(self._terms) * len(other._terms)
+        # A single-term operand passes the rule only at n = 0, where both
+        # paths are one multiplication, so it skips the variable count.
+        if len(self._terms) > 1 and len(other._terms) > 1:
+            names = tuple(sorted(_variable_set(self) | _variable_set(other)))
+            if len(names) * (1 << len(names)) < pairs:
+                return _dense_product(self, other, names)
+        return _pairwise_product(self, other)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
+        """Repeated squaring; an idempotent base (p*p == p) is its own
+        power for every positive exponent."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        result = _ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent == 0:
+            return _ONE
+        if exponent == 1:
+            return self
+        square = self * self
+        if square == self:
+            return self
+        result = self if exponent & 1 else _ONE
+        exponent >>= 1
+        while True:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if not exponent:
+                return result
+            square = square * square
 
     # ------------------------------------------------------------------
     # Semantics
@@ -338,6 +361,13 @@ def _coerce(value: object):
     return NotImplemented
 
 
+def _variable_set(p: Polynomial) -> set[str]:
+    seen: set[str] = set()
+    for mono in p._terms:
+        seen.update(mono)
+    return seen
+
+
 def _canonical(table: dict[Monomial, int]) -> dict[Monomial, int]:
     return {
         mono: table[mono]
@@ -361,3 +391,123 @@ def variables(names: str | Iterable[str]) -> tuple[Polynomial, ...]:
     if isinstance(names, str):
         names = names.replace(",", " ").split()
     return tuple(Polynomial.variable(n) for n in names)
+
+
+# ----------------------------------------------------------------------
+# The value kernel
+
+
+def _transform(vector: list[int], op) -> None:
+    # Yates's algorithm in place: for each bit, combine every entry whose
+    # index has the bit set with the entry that lacks it.  Each pass is a
+    # few strided slice operations, as many as the shorter of the two ways
+    # of cutting the vector into slices.
+    size = len(vector)
+    half = 1
+    while half < size:
+        step = 2 * half
+        if half < size // step:
+            for low in range(half):
+                high = low + half
+                vector[high::step] = map(op, vector[high::step], vector[low::step])
+        else:
+            for low in range(0, size, step):
+                high, end = low + half, low + step
+                vector[high:end] = map(op, vector[high:end], vector[low:high])
+        half = step
+
+
+def point_values(p: Polynomial, names: Sequence[str]) -> dict[Monomial, list[int]]:
+    """The values of p at the 0/1 points of `names`, a strictly ascending
+    variable list: for each residual monomial (the part of a monomial
+    outside `names`), the vector of its coefficient in p at every point,
+    indexed as in the module docstring.  A zero polynomial gives no
+    vectors at all."""
+    size = 1 << len(names)
+    top = len(names) - 1
+    bits = {name: 1 << (top - i) for i, name in enumerate(names)}
+    groups: defaultdict[Monomial, list[int]] = defaultdict(lambda: [0] * size)
+    for mono, coeff in p._terms.items():
+        mask = 0
+        rest: list[str] = []
+        for name in mono:
+            bit = bits.get(name)
+            if bit is None:
+                rest.append(name)
+            else:
+                mask |= bit
+        groups[tuple(rest)][mask] += coeff
+    for vector in groups.values():
+        _transform(vector, add)
+    return groups
+
+
+def point_polynomials(p: Polynomial, names: Sequence[str]) -> list[Polynomial]:
+    """p with the variables of `names` set to the bits of each 0/1 point,
+    in index order: one polynomial in the remaining variables per point."""
+    groups = sorted(point_values(p, names).items(), key=lambda item: _monomial_key(item[0]))
+    if not groups:
+        return [_ZERO] * (1 << len(names))
+    residuals = [residual for residual, _ in groups]
+    points: list[Polynomial] = []
+    for values in zip(*(vector for _, vector in groups)):
+        entry = object.__new__(Polynomial)
+        # residuals are already in canonical order
+        entry._terms = {residual: v for residual, v in zip(residuals, values) if v}
+        points.append(entry)
+    return points
+
+
+def from_point_values(groups: Mapping[Monomial, list[int]], names: Sequence[str]) -> Polynomial:
+    """Inverse of point_values: the polynomial whose values at the 0/1
+    points of `names` are the given vectors, one per residual monomial
+    (residual monomials must not mention `names`).  The vectors are
+    overwritten."""
+    # A monomial is the concatenation of one over the first names and one
+    # over the last, each looked up by its half of the bitmask.
+    split = len(names) // 2
+    high, low = _subsets(names[: len(names) - split]), _subsets(names[len(names) - split :])
+    low_mask = (1 << split) - 1
+    table: dict[Monomial, int] = {}
+    for residual, vector in groups.items():
+        _transform(vector, sub)
+        for mask, coeff in enumerate(vector):
+            if coeff:
+                mono = high[mask >> split] + low[mask & low_mask]
+                if residual:
+                    mono = tuple(sorted(residual + mono))
+                table[mono] = coeff
+    return Polynomial._raw(table)
+
+
+def _subsets(names: Sequence[str]) -> list[Monomial]:
+    # Every monomial over `names`, indexed by bitmask.
+    monos: list[Monomial] = [()]
+    for name in reversed(names):
+        monos += [(name, *mono) for mono in monos]
+    return monos
+
+
+def _dense_product(p: Polynomial, q: Polynomial, names: Sequence[str]) -> Polynomial:
+    # The flattening product is the pointwise product of values at the
+    # 0/1 points.  `names` must cover both operands.
+    zeros = [0] * (1 << len(names))
+    left = point_values(p, names).get((), zeros)
+    right = point_values(q, names).get((), zeros)
+    return from_point_values({(): list(map(mul, left, right))}, names)
+
+
+def _pairwise_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    table: dict[Monomial, int] = {}
+    for m1, c1 in p._terms.items():
+        for m2, c2 in q._terms.items():
+            # Monomials multiply by set union; this is where repeated
+            # variables flatten back to the first power.
+            if not m1:
+                mono = m2
+            elif not m2:
+                mono = m1
+            else:
+                mono = tuple(sorted(set(m1) | set(m2)))
+            table[mono] = table.get(mono, 0) + c1 * c2
+    return Polynomial._raw(table)

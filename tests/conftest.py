@@ -12,7 +12,9 @@ from itertools import product
 
 from hypothesis import strategies as st
 
-from boole import Polynomial
+from boole import ONE, ZERO, Polynomial
+from boole.development import DevelopmentTable
+from boole.polynomial import _pairwise_product
 from boole.terms import Add, IntLit, Mul, Neg, One, Pow, Sub, Term, Var, Zero
 
 VAR_NAMES = ("v", "w", "x", "y", "z")
@@ -96,6 +98,54 @@ def zero_one_points(names: tuple[str, ...]):
         yield dict(zip(names, bits))
 
 
+def oracle_sigmas(count: int):
+    """All 0/1 strings of the given length, in counting order."""
+    return ["".join(bits) for bits in product("01", repeat=count)]
+
+
+# Development by substitution and by sums of constituents: the direct
+# forms of the definitions, kept as the reference for the value kernel.
+
+
+def oracle_constituent(sigma: str, names) -> Polynomial:
+    result = ONE
+    for name, bit in zip(names, sigma):
+        x = Polynomial.variable(name)
+        result = _pairwise_product(result, x if bit == "1" else ONE - x)
+    return result
+
+
+def oracle_develop_partial(p: Polynomial, eliminated) -> DevelopmentTable:
+    """One substitution per variable per sigma."""
+    names = tuple(sorted(set(eliminated)))
+    table = {}
+    for sigma in oracle_sigmas(len(names)):
+        entry = p
+        for name, bit in zip(names, sigma):
+            entry = entry.substitute(name, int(bit))
+        table[sigma] = entry
+    return DevelopmentTable(names, table)
+
+
+def oracle_from_table(table: DevelopmentTable) -> Polynomial:
+    """The sum over sigma of coefficient times constituent."""
+    total = ZERO
+    for sigma, coeff in table.items():
+        if coeff:
+            total = total + _pairwise_product(coeff, oracle_constituent(sigma, table.variables))
+    return total
+
+
+def oracle_interpretable_core(p: Polynomial, names) -> Polynomial:
+    """The sum of the constituents where p's development is nonzero."""
+    table = oracle_develop_partial(p, names)
+    total = ZERO
+    for sigma, coeff in table.items():
+        if coeff:
+            total = total + oracle_constituent(sigma, table.variables)
+    return total
+
+
 # ----------------------------------------------------------------------
 # Hypothesis strategies
 
@@ -104,3 +154,10 @@ monomials = st.frozensets(st.sampled_from(VAR_NAMES), max_size=5).map(
     lambda s: tuple(sorted(s))
 )
 polynomials = st.dictionaries(monomials, coefficients, max_size=6).map(Polynomial)
+
+# Up to eight variables, for the value-kernel differential tests.
+WIDE_NAMES = tuple(f"x{i}" for i in range(8))
+wide_monomials = st.frozensets(st.sampled_from(WIDE_NAMES), max_size=8).map(
+    lambda s: tuple(sorted(s))
+)
+wide_polynomials = st.dictionaries(wide_monomials, coefficients, max_size=16).map(Polynomial)

@@ -2,7 +2,8 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial, variables
 from boole.development import (
@@ -20,7 +21,19 @@ from boole.development import (
 )
 from boole.polynomial import VariableLimitError
 from boole.terms import poly
-from conftest import VAR_NAMES, polynomials, random_polynomial
+from boole.theorems import solve
+from conftest import (
+    VAR_NAMES,
+    WIDE_NAMES,
+    oracle_constituent,
+    oracle_develop_partial,
+    oracle_from_table,
+    oracle_interpretable_core,
+    oracle_sigmas,
+    polynomials,
+    random_polynomial,
+    wide_polynomials,
+)
 
 x, y, z = variables("x, y, z")
 
@@ -111,6 +124,29 @@ def test_develop_respects_variable_cap():
         sigma: coeff.constant_value()
         for sigma, coeff in develop(x + y, max_vars=2).items()
     }
+
+
+# Each entry point that builds a 2**m value vector, called on a polynomial
+# and a cap: the cap counts the developed variables (for solve, the
+# parameters).
+CAPPED = {
+    "develop_partial": lambda p, **cap: develop_partial(p, p.variables(), **cap),
+    "interpretable_core": interpretable_core,
+    "constituent_equations": constituent_equations,
+    "first_difference": lambda p, **cap: first_difference(p, ZERO, **cap),
+    "equal_by_development": lambda p, **cap: equal_by_development(p, ZERO, **cap),
+    "solve": lambda p, **cap: solve(p * Polynomial.variable("u"), "u", **cap),
+}
+
+
+@pytest.mark.parametrize("entry", CAPPED.values(), ids=CAPPED.keys())
+def test_kernel_entry_points_respect_variable_cap(entry):
+    wide = Polynomial({tuple(f"x{i:02d}" for i in range(21)): 1})
+    with pytest.raises(VariableLimitError):
+        entry(wide)
+    with pytest.raises(VariableLimitError):
+        entry(x + y + z, max_vars=2)
+    entry(x + y + z, max_vars=3)
 
 
 @given(polynomials)
@@ -240,6 +276,12 @@ def test_equality_by_development():
     assert equal_by_development(p, p)
 
 
+def test_one_shot_variable_iterators():
+    assert first_difference(x, y, iter(["x", "y"])) == "01"
+    assert equal_by_development(x, x, iter(["x", "y"]))
+    assert not equal_by_development(x, y, iter(["x", "y"]))
+
+
 @given(polynomials, polynomials)
 def test_development_equality_is_structural_equality(p, q):
     assert equal_by_development(p, q) == (p == q)
@@ -285,3 +327,64 @@ def test_constituent_equations():
     assert constituent_equations(x + y) == {"01", "10", "11"}
     assert constituent_equations(ZERO) == frozenset()
     assert constituent_equations(ONE, ("x", "y")) == set(sigma_strings(2))
+
+
+# ----------------------------------------------------------------------
+# The value kernel against substitution and constituent sums
+
+name_lists = st.lists(st.sampled_from(WIDE_NAMES + ("a",)), max_size=4)
+# The oracles are quadratic in 2**m.
+oracle_settings = settings(deadline=None, max_examples=60)
+
+
+@oracle_settings
+@given(wide_polynomials, name_lists)
+def test_develop_partial_matches_substitution(p, eliminated):
+    # residual variables, the empty list and names absent from p alike
+    assert develop_partial(p, eliminated) == oracle_develop_partial(p, eliminated)
+
+
+@oracle_settings
+@given(wide_polynomials, name_lists)
+def test_develop_matches_substitution_on_superset_lists(p, extra):
+    names = set(p.variables()) | set(extra)
+    assert develop(p, names) == oracle_develop_partial(p, names)
+
+
+@oracle_settings
+@given(st.data())
+def test_from_table_matches_constituent_sum(data):
+    # entries may mention the table's own variables as well as others
+    names = sorted(data.draw(st.sets(st.sampled_from(WIDE_NAMES), max_size=4)))
+    table = DevelopmentTable(
+        tuple(names),
+        {sigma: data.draw(wide_polynomials) for sigma in oracle_sigmas(len(names))},
+    )
+    assert from_table(table) == oracle_from_table(table)
+
+
+@oracle_settings
+@given(wide_polynomials, name_lists)
+def test_core_and_equations_match_constituent_sum(p, extra):
+    names = sorted(set(p.variables()) | set(extra))
+    assert interpretable_core(p, names) == oracle_interpretable_core(p, names)
+    oracle = oracle_develop_partial(p, names)
+    assert constituent_equations(p, names) == {s for s, c in oracle.items() if c}
+
+
+@oracle_settings
+@given(wide_polynomials, wide_polynomials, name_lists)
+def test_first_difference_matches_substitution(p, q, extra):
+    names = sorted(set(p.variables()) | set(q.variables()) | set(extra))
+    left = oracle_develop_partial(p, names)
+    right = oracle_develop_partial(q, names)
+    want = next((s for s in oracle_sigmas(len(names)) if left[s] != right[s]), None)
+    assert first_difference(p, q, names) == want
+
+
+@oracle_settings
+@given(st.data())
+def test_constituent_matches_product(data):
+    names = sorted(data.draw(st.sets(st.sampled_from(WIDE_NAMES), max_size=6)))
+    sigma = data.draw(st.sampled_from(oracle_sigmas(len(names))))
+    assert constituent(sigma, names) == oracle_constituent(sigma, names)

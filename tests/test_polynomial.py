@@ -1,12 +1,18 @@
 import doctest
 import random
+import time
+from functools import reduce
+from operator import mul
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import boole.polynomial
 from boole import ONE, ZERO, Polynomial, variables
-from conftest import polynomials, zero_one_points
+from boole.polynomial import _dense_product, _pairwise_product
+from boole.terms import poly
+from conftest import polynomials, wide_polynomials, zero_one_points
 
 x, y, z = variables("x, y, z")
 
@@ -99,6 +105,65 @@ def test_powers():
     assert (x + y) ** 0 == ONE
     with pytest.raises(ValueError):
         x ** (-1)
+
+
+def test_huge_power_of_an_idempotent_returns_at_once():
+    start = time.perf_counter()
+    assert poly("x^10000000") == x
+    assert (x + y - x * y) ** 10_000_000 == x + y - x * y
+    assert time.perf_counter() - start < 1.0
+
+
+@given(polynomials, st.integers(min_value=0, max_value=9))
+def test_power_is_repeated_product(p, k):
+    assert p**k == reduce(mul, [p] * k, ONE)
+
+
+# ----------------------------------------------------------------------
+# Dense products through the value kernel
+
+
+def full(n):
+    """prod(1 + x_i) over n variables: all 2**n monomials."""
+    return reduce(mul, (1 + Polynomial.variable(f"x{i}") for i in range(n)), ONE)
+
+
+@given(wide_polynomials, wide_polynomials)
+def test_dense_product_matches_pairwise(p, q):
+    names = tuple(sorted(set(p.variables()) | set(q.variables()) | {"x0"}))
+    assert _dense_product(p, q, names) == _pairwise_product(p, q) == p * q
+
+
+@pytest.mark.parametrize(
+    "p, q, dense",
+    [
+        (full(4), full(4), True),  # 256 pairs > 4 * 2**4
+        (full(5), full(3), True),  # 256 pairs > 5 * 2**5
+        (full(5), full(2), False),  # 128 pairs < 5 * 2**5
+        (full(2), 1 + Polynomial.variable("x0"), False),  # 8 pairs = 2 * 2**2
+        (full(4), 1 - x - y, False),  # 48 pairs < 6 * 2**6
+        (full(4), x, False),
+    ],
+)
+def test_product_takes_the_dense_path_exactly_past_n_2n(monkeypatch, p, q, dense):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _dense_product(*args)
+    monkeypatch.setattr(boole.polynomial, "_dense_product", spy)
+    assert p * q == _pairwise_product(p, q)
+    assert bool(calls) == dense
+
+
+def test_wide_products_never_hit_the_variable_cap():
+    # 25 variables: a value vector would need 2**25 entries.
+    names = [f"x{i:02d}" for i in range(25)]
+    p = sum((Polynomial.variable(n) for n in names), ZERO)
+    q = 1 - p + Polynomial({tuple(names): 3})
+    product = p * q
+    point = dict.fromkeys(names, 1)
+    assert product.evaluate(point) == p.evaluate(point) * q.evaluate(point)
 
 
 def test_equality_and_hash():
