@@ -3,7 +3,8 @@
 Every command is a pure function of its arguments and stdin to stdout,
 stderr and an exit code.  Exit codes: 0 for success (holds, equal,
 defined); 1 for a semantic negative (not-equal, fails, undefined, not
-interpretable); 2 for usage, parse or limit errors.
+interpretable); 2 for usage, parse or limit errors, and for internal
+errors.
 
 ``--format json`` switches to one JSON object per output line, with
 polynomials encoded as arrays of ``{"monomial": [names...],
@@ -288,15 +289,17 @@ def _spec_parts(spec: str) -> tuple[Universe, list[tuple[str, str]]]:
     return universe, bindings
 
 
+def _integers(name: str, value: str, shape: str) -> list[int]:
+    # `shape` is "{elements}" or "[values]": the brackets and what they hold
+    if not value.startswith(shape[0]) or not value.endswith(shape[-1]):
+        raise ValueError(f"expected {name}={shape}, got {name}={value}")
+    body = value[1:-1].strip()
+    return [int(piece) for piece in body.split(",")] if body else []
+
+
 def _parse_class_spec(spec: str) -> ClassAssignment:
     universe, bindings = _spec_parts(spec)
-    masks: dict[str, object] = {}
-    for name, value in bindings:
-        if not value.startswith("{") or not value.endswith("}"):
-            raise ValueError(f"expected {name}={{elements}}, got {name}={value}")
-        body = value[1:-1].strip()
-        elements = [int(piece) for piece in body.split(",")] if body else []
-        masks[name] = elements
+    masks = {name: _integers(name, value, "{elements}") for name, value in bindings}
     return ClassAssignment(universe, masks)  # type: ignore[arg-type]
 
 
@@ -304,10 +307,7 @@ def _parse_multiset_spec(spec: str) -> tuple[Universe, dict[str, Multiset]]:
     universe, bindings = _spec_parts(spec)
     multisets: dict[str, Multiset] = {}
     for name, value in bindings:
-        if not value.startswith("[") or not value.endswith("]"):
-            raise ValueError(f"expected {name}=[values], got {name}={value}")
-        body = value[1:-1].strip()
-        entries = [int(piece) for piece in body.split(",")] if body else []
+        entries = _integers(name, value, "[values]")
         if len(entries) != universe.size:
             raise ValueError(
                 f"{name} needs {universe.size} values, got {len(entries)}"
@@ -407,18 +407,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except VariableLimitError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     except KeyError as error:
         print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as error:
+    except (ParseError, VariableLimitError, ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
-        return 2
+    except Exception as error:  # a crash must not pass for a semantic negative
+        print(f"error: internal error: {type(error).__name__}: {error}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import add, mul, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Literal, Mapping, Union
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Union
 
 from .polynomial import Polynomial, check_variable_limit
 from .terms import (
@@ -33,6 +34,8 @@ from .terms import (
     Term,
     Var,
     Zero,
+    _assigned,
+    _fold,
     format_term,
 )
 
@@ -56,6 +59,8 @@ MAX_UNIVERSE = 16
 def mask_of(elements: Iterable[int]) -> int:
     mask = 0
     for e in elements:
+        if e < 0:
+            raise ValueError(f"element {e} is outside the universe")
         mask |= 1 << e
     return mask
 
@@ -107,9 +112,7 @@ class ClassAssignment:
         object.__setattr__(self, "masks", MappingProxyType(clean))
 
     def mask(self, name: str) -> int:
-        if name not in self.masks:
-            raise KeyError(f"no value assigned to variable {name!r}")
-        return self.masks[name]
+        return _assigned(self.masks, name)
 
     def subset(self, name: str) -> frozenset[int]:
         return frozenset(elements_of(self.mask(name)))
@@ -148,6 +151,18 @@ class Undefined:
 PartialValue = Union[Defined, Undefined]
 
 
+def _strict(combine: Callable) -> Callable:
+    # The first undefined operand, else the combination of the two classes.
+    def visit(node: Term, left: PartialValue, right: PartialValue) -> PartialValue:
+        if isinstance(left, Undefined):
+            return left
+        if isinstance(right, Undefined):
+            return right
+        return combine(node, left.subset, right.subset)
+
+    return visit
+
+
 def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
     """Evaluate under Boole's partial algebra of classes.
 
@@ -159,57 +174,42 @@ def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
     influence the result, makes the whole term undefined.
     """
     universe = assignment.universe.mask
-    if isinstance(term, Var):
-        return Defined(assignment.mask(term.name))
-    if isinstance(term, Zero):
-        return Defined(0)
-    if isinstance(term, One):
-        return Defined(universe)
-    if isinstance(term, IntLit):
-        if term.value == 0:
-            return Defined(0)
-        if term.value == 1:
-            return Defined(universe)
-        return Undefined(term, f"{term.value} is not a class")
-    if isinstance(term, Mul):
-        left = eval_partial(term.left, assignment)
-        right = eval_partial(term.right, assignment)
-        if isinstance(left, Undefined):
-            return left
-        if isinstance(right, Undefined):
-            return right
-        return Defined(left.subset & right.subset)
-    if isinstance(term, Add):
-        left = eval_partial(term.left, assignment)
-        right = eval_partial(term.right, assignment)
-        if isinstance(left, Undefined):
-            return left
-        if isinstance(right, Undefined):
-            return right
-        if left.subset & right.subset:
-            s, t = format_term(term.left, compact=True), format_term(term.right, compact=True)
-            return Undefined(term, f"{s}+{t} requires {s}∩{t}=∅")
-        return Defined(left.subset | right.subset)
-    if isinstance(term, Sub):
-        left = eval_partial(term.left, assignment)
-        right = eval_partial(term.right, assignment)
-        if isinstance(left, Undefined):
-            return left
-        if isinstance(right, Undefined):
-            return right
-        if right.subset & ~left.subset:
-            s, t = format_term(term.left, compact=True), format_term(term.right, compact=True)
-            return Undefined(term, f"{s}-{t} requires {t}⊆{s}")
-        return Defined(left.subset & ~right.subset & universe)
-    if isinstance(term, Neg):
-        inner = eval_partial(term.operand, assignment)
-        if isinstance(inner, Undefined):
-            return inner
-        s = format_term(term.operand, compact=True)
-        return Undefined(term, f"-{s} uses unary minus, which is not a class operation")
-    if isinstance(term, Pow):
-        return eval_partial(term.base, assignment)
-    raise TypeError(f"not a Term: {term!r}")
+
+    def literal(node: IntLit) -> PartialValue:
+        if node.value > 1:
+            return Undefined(node, f"{node.value} is not a class")
+        return Defined(universe if node.value else 0)
+
+    def union(node: Add, s: int, t: int) -> PartialValue:
+        if s & t:
+            a, b = format_term(node.left, compact=True), format_term(node.right, compact=True)
+            return Undefined(node, f"{a}+{b} requires {a}∩{b}=∅")
+        return Defined(s | t)
+
+    def difference(node: Sub, s: int, t: int) -> PartialValue:
+        if t & ~s:
+            a, b = format_term(node.left, compact=True), format_term(node.right, compact=True)
+            return Undefined(node, f"{a}-{b} requires {b}⊆{a}")
+        return Defined(s & ~t & universe)
+
+    def neg(node: Neg, operand: PartialValue) -> PartialValue:
+        if isinstance(operand, Undefined):
+            return operand
+        s = format_term(node.operand, compact=True)
+        return Undefined(node, f"-{s} uses unary minus, which is not a class operation")
+
+    visits: dict[type, Callable] = {
+        Var: lambda node: Defined(assignment.mask(node.name)),
+        Zero: lambda node: Defined(0),
+        One: lambda node: Defined(universe),
+        IntLit: literal,
+        Mul: _strict(lambda node, s, t: Defined(s & t)),
+        Add: _strict(union),
+        Sub: _strict(difference),
+        Neg: neg,
+        Pow: lambda node, base: base,
+    }
+    return _fold(term, visits)
 
 
 # ----------------------------------------------------------------------
@@ -247,23 +247,19 @@ class Multiset:
             raise ValueError(f"{self} is not a characteristic function")
         return mask_of(i for i, v in enumerate(self.values) if v)
 
-    def _match(self, other: "Multiset") -> None:
+    def _pointwise(self, op: Callable, other: Union["Multiset", int]) -> "Multiset":
+        other = _coerce(other, self.size)
         if self.size != other.size:
-            raise ValueError(
-                f"universe mismatch: sizes {self.size} and {other.size}"
-            )
+            raise ValueError(f"universe mismatch: sizes {self.size} and {other.size}")
+        return Multiset(tuple(map(op, self.values, other.values)))
 
     def __add__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(add, other)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(sub, other)
 
     def __rsub__(self, other: Union["Multiset", int]) -> "Multiset":
         return _coerce(other, self.size).__sub__(self)
@@ -272,9 +268,7 @@ class Multiset:
         return Multiset(tuple(-a for a in self.values))
 
     def __mul__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a * b for a, b in zip(self.values, other.values)))
+        return self._pointwise(mul, other)
 
     __rmul__ = __mul__
 
@@ -326,30 +320,18 @@ def eval_multiset(
         raise ValueError("cannot infer the universe from an empty assignment")
     size = sizes.pop()
 
-    def walk(node: Term) -> Multiset:
-        if isinstance(node, Var):
-            if node.name not in assignment:
-                raise KeyError(f"no value assigned to variable {node.name!r}")
-            return assignment[node.name]
-        if isinstance(node, Zero):
-            return Multiset.constant(0, size)
-        if isinstance(node, One):
-            return Multiset.constant(1, size)
-        if isinstance(node, IntLit):
-            return Multiset.constant(node.value, size)
-        if isinstance(node, Add):
-            return walk(node.left) + walk(node.right)
-        if isinstance(node, Sub):
-            return walk(node.left) - walk(node.right)
-        if isinstance(node, Mul):
-            return walk(node.left) * walk(node.right)
-        if isinstance(node, Neg):
-            return -walk(node.operand)
-        if isinstance(node, Pow):
-            return walk(node.base) ** node.exponent
-        raise TypeError(f"not a Term: {node!r}")
-
-    return walk(term)
+    visits: dict[type, Callable] = {
+        Var: lambda node: _assigned(assignment, node.name),
+        Zero: lambda node: Multiset.constant(0, size),
+        One: lambda node: Multiset.constant(1, size),
+        IntLit: lambda node: Multiset.constant(node.value, size),
+        Add: lambda node, left, right: left + right,
+        Sub: lambda node, left, right: left - right,
+        Mul: lambda node, left, right: left * right,
+        Neg: lambda node, operand: -operand,
+        Pow: lambda node, base: base**node.exponent,
+    }
+    return _fold(term, visits)
 
 
 # ----------------------------------------------------------------------

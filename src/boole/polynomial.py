@@ -216,10 +216,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        table = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            table[mono] = table.get(mono, 0) + coeff
-        return Polynomial._raw(table)
+        return Polynomial._raw(_add_into(dict(self._terms), other._terms, 1))
 
     __radd__ = __add__
 
@@ -227,10 +224,7 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        table = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            table[mono] = table.get(mono, 0) - coeff
-        return Polynomial._raw(table)
+        return Polynomial._raw(_add_into(dict(self._terms), other._terms, -1))
 
     def __rsub__(self, other: Union["Polynomial", int]) -> "Polynomial":
         other = _coerce(other)
@@ -366,6 +360,14 @@ def _variable_set(p: Polynomial) -> set[str]:
     for mono in p._terms:
         seen.update(mono)
     return seen
+
+
+def _add_into(table: dict[Monomial, int], terms: Mapping[Monomial, int], sign: int) -> dict:
+    # Add sign times `terms` into `table`, which is returned; zero
+    # coefficients stay until the table is made canonical.
+    for mono, coeff in terms.items():
+        table[mono] = table.get(mono, 0) + sign * coeff
+    return table
 
 
 def _canonical(table: dict[Monomial, int]) -> dict[Monomial, int]:

@@ -121,23 +121,32 @@ def _value_at(compiled: list[tuple[int, int]], point: int) -> int:
 def parse_horn(text: str) -> HornSentence:
     """Parse ``e1 = f1 & e2 = f2 -> e0 = f0`` or a bare equation
     ``s = t``; each side is a term and each equation is stored as the
-    difference of its sides."""
+    difference of its sides.  Error offsets count from the start of
+    `text`."""
     head, arrow, tail = text.partition("->")
     if "->" in tail:
         raise ParseError("more than one '->'", text.index("->", text.index("->") + 2))
+    equations, start = [], 0
+    for part in head.split("&") if arrow else [head]:
+        equations.append(_parse_equation(part, start))
+        start += len(part) + 1
     if arrow:
-        antecedents = tuple(_parse_equation(part) for part in head.split("&"))
-        consequent = _parse_equation(tail)
-    else:
-        antecedents = ()
-        consequent = _parse_equation(head)
-    return HornSentence(antecedents, consequent)
+        equations.append(_parse_equation(tail, len(head) + 2))
+    return HornSentence(tuple(equations[:-1]), equations[-1])
 
 
-def _parse_equation(text: str) -> Polynomial:
+def _parse_equation(text: str, start: int) -> Polynomial:
+    # `start` is the offset of `text` in the whole sentence.
     left, eq, right = text.partition("=")
     if not eq:
-        raise ParseError("expected an equation 'lhs = rhs'", 0)
+        raise ParseError("expected an equation 'lhs = rhs'", start)
     if "=" in right:
-        raise ParseError("more than one '=' in an equation", 0)
-    return poly(left) - poly(right)
+        second = start + len(left) + 1 + right.index("=")
+        raise ParseError("more than one '=' in an equation", second)
+    sides = []
+    for side, offset in ((left, start), (right, start + len(left) + 1)):
+        try:
+            sides.append(poly(side))
+        except ParseError as error:
+            raise ParseError(error.message, offset + error.position) from None
+    return sides[0] - sides[1]

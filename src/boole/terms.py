@@ -14,14 +14,22 @@ Whitespace is insignificant.  ``*`` is mandatory: juxtaposition like
 ``xy`` would be ambiguous with multi-character identifiers.  ``^`` binds
 tighter than ``*``, which binds tighter than ``+``/``-``; the binary
 operators associate to the left.  Parse errors carry byte offsets.
+
+Compiling, printing, translating to sets, evaluating and collecting
+variables are all folds over the tree, and all run on the one iterative
+fold below; the parser is a loop with an explicit stack.  Every traversal
+is iterative, with no depth limit: a term may be as long and as deeply
+nested as memory allows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import reduce
+from operator import attrgetter
+from typing import Callable, Mapping
 
-from .polynomial import ONE, ZERO, Polynomial, _require_name
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _require_name
 
 __all__ = [
     "Add",
@@ -127,6 +135,94 @@ class Pow(Term):
             raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
 
 
+class SetExpr:
+    """Base class of set-expression nodes over a universe."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        return format_set_expression(self)
+
+
+@dataclass(frozen=True, slots=True)
+class SetVar(SetExpr):
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class SetUniverse(SetExpr):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class SetEmpty(SetExpr):
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class SetUnion(SetExpr):
+    left: SetExpr
+    right: SetExpr
+
+
+@dataclass(frozen=True, slots=True)
+class SetIntersection(SetExpr):
+    left: SetExpr
+    right: SetExpr
+
+
+@dataclass(frozen=True, slots=True)
+class SetComplement(SetExpr):
+    operand: SetExpr
+
+
+# ----------------------------------------------------------------------
+# The fold
+#
+# A traversal is a table from node type to a visit function, called with
+# the node and then the values of its children, if any.  The walk keeps
+# its own stack, so the depth of a tree costs no Python frames.
+
+_BINARY = frozenset({Add, Sub, Mul, SetUnion, SetIntersection})
+_UNARY = {Neg: attrgetter("operand"), Pow: attrgetter("base"), SetComplement: attrgetter("operand")}
+
+
+def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
+    """The nodes of a tree, each after its children and a left subtree
+    before the right one; nodes of a type in `leaves` without subtrees."""
+    order, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        kind = type(node)
+        if kind in _BINARY:
+            stack.append(node.left)
+            stack.append(node.right)
+        elif kind in _UNARY and kind not in leaves:
+            stack.append(_UNARY[kind](node))
+    order.reverse()
+    return order
+
+
+def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = frozenset()):
+    """Fold a tree bottom-up, visiting the types in `leaves` as leaves.
+    Errors come in the order a left-to-right recursion would meet them."""
+    values: list = []
+    for node in _postorder(root, leaves):
+        kind = type(node)
+        combine = visit.get(kind)
+        if combine is None:
+            raise TypeError(f"not a {'SetExpr' if SetVar in visit else 'Term'}: {node!r}")
+        if kind in _BINARY:
+            right = values.pop()
+            values[-1] = combine(node, values[-1], right)
+        elif kind in _UNARY and kind not in leaves:
+            values[-1] = combine(node, values[-1])
+        else:
+            values.append(combine(node))
+    return values[0]
+
+
 # ----------------------------------------------------------------------
 # Parsing
 
@@ -172,70 +268,6 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, object, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}", tok[2])
-        return self.advance()
-
-    def parse_expr(self) -> Term:
-        if self.peek()[0] == "-":
-            self.advance()
-            node: Term = Neg(self.parse_prod())
-        else:
-            node = self.parse_prod()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.parse_prod()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def parse_prod(self) -> Term:
-        node = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            node = Mul(node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Term:
-        kind, value, position = self.peek()
-        if kind == "INT":
-            self.advance()
-            node = _int_term(value)  # type: ignore[arg-type]
-        elif kind == "IDENT":
-            self.advance()
-            node = Var(value)  # type: ignore[arg-type]
-        elif kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-        else:
-            raise ParseError("expected a number, a variable or '('", position)
-        while self.peek()[0] == "^":
-            self.advance()
-            kind, value, position = self.peek()
-            if kind != "INT":
-                raise ParseError("expected an integer exponent after '^'", position)
-            if value == 0:
-                raise ParseError("exponent must be at least 1", position)
-            self.advance()
-            node = Pow(node, value)  # type: ignore[arg-type]
-        return node
-
-
 def _int_term(value: int) -> Term:
     if value == 0:
         return Zero()
@@ -247,12 +279,61 @@ def _int_term(value: int) -> Term:
 def parse(text: str) -> Term:
     """Parse concrete syntax into a Term; raises ParseError with a byte
     offset on bad input."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    kind, _, position = parser.peek()
-    if kind != "EOF":
-        raise ParseError("unexpected trailing input", position)
-    return node
+    tokens = _tokenize(text)
+    # The expression being read is its sum so far, the operator that joins
+    # the next product to it, the product so far, and whether a leading
+    # minus still waits for the first product.  An open parenthesis saves
+    # the enclosing expression's state and starts afresh.
+    frames: list[tuple[Term | None, str, Term | None, bool]] = []
+    total, op, product, negate = None, "+", None, tokens[0][0] == "-"
+    pos = int(negate)
+    while True:
+        kind, value, position = tokens[pos]
+        pos += 1
+        if kind == "(":
+            frames.append((total, op, product, negate))
+            total, op, product = None, "+", None
+            negate = tokens[pos][0] == "-"
+            pos += negate
+            continue
+        if kind == "INT":
+            node: Term = _int_term(value)  # type: ignore[arg-type]
+        elif kind == "IDENT":
+            node = Var(value)  # type: ignore[arg-type]
+        else:
+            raise ParseError("expected a number, a variable or '('", position)
+        # A complete factor; it may complete the product, the sum and the
+        # parenthesized factor around them, and so on outwards.
+        while True:
+            while tokens[pos][0] == "^":
+                kind, value, position = tokens[pos + 1]
+                if kind != "INT":
+                    raise ParseError("expected an integer exponent after '^'", position)
+                if value == 0:
+                    raise ParseError("exponent must be at least 1", position)
+                node = Pow(node, value)  # type: ignore[arg-type]
+                pos += 2
+            product = node if product is None else Mul(product, node)
+            kind, _, position = tokens[pos]
+            if kind == "*":
+                break
+            if negate:
+                product, negate = Neg(product), False
+            total = product if total is None else (Add if op == "+" else Sub)(total, product)
+            product = None
+            if kind == "+" or kind == "-":
+                op = kind
+                break
+            if not frames:
+                if kind != "EOF":
+                    raise ParseError("unexpected trailing input", position)
+                return total
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            node = total
+            total, op, product, negate = frames.pop()
+            pos += 1
+        pos += 1
 
 
 # ----------------------------------------------------------------------
@@ -262,75 +343,65 @@ def parse(text: str) -> Term:
 # below the minimum gets parenthesized.  Neg ranks below the binary
 # operators because the grammar only allows a bare minus up front.
 _ATOM, _POW, _MUL, _ADD, _NEG = 5, 4, 3, 2, 1
+_STRENGTH = {
+    Var: _ATOM, Zero: _ATOM, One: _ATOM, IntLit: _ATOM,
+    Pow: _POW, Mul: _MUL, Add: _ADD, Sub: _ADD, Neg: _NEG,
+}
 
 
-def _render(term: Term, compact: bool) -> tuple[str, int]:
-    plus, minus = ("+", "-") if compact else (" + ", " - ")
-    if isinstance(term, Var):
-        return term.name, _ATOM
-    if isinstance(term, Zero):
-        return "0", _ATOM
-    if isinstance(term, One):
-        return "1", _ATOM
-    if isinstance(term, IntLit):
-        return str(term.value), _ATOM
-    if isinstance(term, Add):
-        # a leading unary minus is legal on the left spine: -x + y
-        left = _child(term.left, _NEG, compact)
-        right = _child(term.right, _MUL, compact)
-        return f"{left}{plus}{right}", _ADD
-    if isinstance(term, Sub):
-        left = _child(term.left, _NEG, compact)
-        right = _child(term.right, _MUL, compact)
-        return f"{left}{minus}{right}", _ADD
-    if isinstance(term, Mul):
-        left = _child(term.left, _MUL, compact)
-        right = _child(term.right, _POW, compact)
-        return f"{left}*{right}", _MUL
-    if isinstance(term, Neg):
-        return "-" + _child(term.operand, _MUL, compact), _NEG
-    if isinstance(term, Pow):
-        return _child(term.base, _POW, compact) + f"^{term.exponent}", _POW
-    raise TypeError(f"not a Term: {term!r}")
+def _wrap(child: Term, text: str, minimum: int) -> str:
+    return f"({text})" if _STRENGTH[type(child)] < minimum else text
 
 
-def _child(term: Term, minimum: int, compact: bool) -> str:
-    text, strength = _render(term, compact)
-    return f"({text})" if strength < minimum else text
+def _format_visits(plus: str, minus: str) -> dict[type, Callable]:
+    return {
+        Var: lambda node: node.name,
+        Zero: lambda node: "0",
+        One: lambda node: "1",
+        IntLit: lambda node: str(node.value),
+        # A left operand needs no parentheses, as nothing binds weaker than
+        # a unary minus and one is legal on the left spine: -x + y
+        Add: lambda node, s, t: s + plus + _wrap(node.right, t, _MUL),
+        Sub: lambda node, s, t: s + minus + _wrap(node.right, t, _MUL),
+        Mul: lambda node, s, t: _wrap(node.left, s, _MUL) + "*" + _wrap(node.right, t, _POW),
+        Neg: lambda node, s: "-" + _wrap(node.operand, s, _MUL),
+        Pow: lambda node, s: f"{_wrap(node.base, s, _POW)}^{node.exponent}",
+    }
+
+
+_FORMAT = {False: _format_visits(" + ", " - "), True: _format_visits("+", "-")}
 
 
 def format_term(term: Term, compact: bool = False) -> str:
     """Deterministic concrete syntax for a term; reparses to an equal
     polynomial.  ``compact`` drops the spaces around binary operators."""
-    return _render(term, compact)[0]
+    return _fold(term, _FORMAT[bool(compact)])
 
 
 # ----------------------------------------------------------------------
 # Compilation to polynomials
+#
+# Every value is a coefficient table of the node's own, so a chain of +
+# and - adds into one table, and a table is sorted into a Polynomial only
+# where a product or a power needs one.
+
+_COMPILE: dict[type, Callable] = {
+    Var: lambda node: {(node.name,): 1},  # the name was checked by Var
+    Zero: lambda node: {},
+    One: lambda node: {(): 1},
+    IntLit: lambda node: {(): node.value},
+    Add: lambda node, left, right: _add_into(left, right, 1),
+    Sub: lambda node, left, right: _add_into(left, right, -1),
+    Neg: lambda node, operand: _add_into({}, operand, -1),
+    Mul: lambda node, left, right: dict((Polynomial._raw(left) * Polynomial._raw(right))._terms),
+    Pow: lambda node, base: dict((Polynomial._raw(base) ** node.exponent)._terms),
+}
 
 
 def term_to_poly(term: Term) -> Polynomial:
     """Compile a term to its canonical polynomial (powers computed with
     the flattening product, so idempotence of variables is built in)."""
-    if isinstance(term, Var):
-        return Polynomial.variable(term.name)
-    if isinstance(term, Zero):
-        return ZERO
-    if isinstance(term, One):
-        return ONE
-    if isinstance(term, IntLit):
-        return Polynomial.constant(term.value)
-    if isinstance(term, Add):
-        return term_to_poly(term.left) + term_to_poly(term.right)
-    if isinstance(term, Sub):
-        return term_to_poly(term.left) - term_to_poly(term.right)
-    if isinstance(term, Mul):
-        return term_to_poly(term.left) * term_to_poly(term.right)
-    if isinstance(term, Neg):
-        return -term_to_poly(term.operand)
-    if isinstance(term, Pow):
-        return term_to_poly(term.base) ** term.exponent
-    raise TypeError(f"not a Term: {term!r}")
+    return Polynomial._raw(_fold(term, _COMPILE))
 
 
 def poly(text: str) -> Polynomial:
@@ -340,29 +411,20 @@ def poly(text: str) -> Polynomial:
 
 def to_term(p: Polynomial) -> Term:
     """A term whose compilation is exactly `p` (canonical term order)."""
-    items = list(p.terms.items())
-    if not items:
-        return Zero()
     node: Term | None = None
-    for mono, coeff in items:
+    for mono, coeff in p.terms.items():
         body = _monomial_term(mono, abs(coeff))
         if node is None:
             node = Neg(body) if coeff < 0 else body
         else:
             node = Sub(node, body) if coeff < 0 else Add(node, body)
-    assert node is not None
-    return node
+    return Zero() if node is None else node
 
 
 def _monomial_term(mono: tuple[str, ...], magnitude: int) -> Term:
-    factors: list[Term] = []
-    if magnitude != 1 or not mono:
-        factors.append(_int_term(magnitude))
+    factors: list[Term] = [_int_term(magnitude)] if magnitude != 1 or not mono else []
     factors.extend(Var(name) for name in mono)
-    node = factors[0]
-    for factor in factors[1:]:
-        node = Mul(node, factor)
-    return node
+    return reduce(Mul, factors)
 
 
 # ----------------------------------------------------------------------
@@ -372,47 +434,6 @@ def _monomial_term(mono: tuple[str, ...], magnitude: int) -> Term:
 # additions are provably disjoint and all its subtractions provably
 # contained, as polynomial identities.  Such terms translate directly
 # into union/intersection/complement form.
-
-
-class SetExpr:
-    """Base class of set-expression nodes over a universe."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return format_set_expression(self)
-
-
-@dataclass(frozen=True, slots=True)
-class SetVar(SetExpr):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class SetUniverse(SetExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SetEmpty(SetExpr):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SetUnion(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SetIntersection(SetExpr):
-    left: SetExpr
-    right: SetExpr
-
-
-@dataclass(frozen=True, slots=True)
-class SetComplement(SetExpr):
-    operand: SetExpr
 
 
 class NotTotallyInterpretableError(Exception):
@@ -428,53 +449,65 @@ class NotTotallyInterpretableError(Exception):
         self.condition = condition
 
 
+# A value is a pair: the set expression and the subterm's polynomial,
+# for the side conditions of the + and - above it.
+
+
+def _set_literal(node: IntLit) -> tuple[SetExpr, Polynomial]:
+    if node.value > 1:
+        raise NotTotallyInterpretableError(node, f"{node.value} is not a class")
+    return (SetUniverse(), ONE) if node.value else (SetEmpty(), ZERO)
+
+
+def _set_neg(node: Neg):
+    raise NotTotallyInterpretableError(node, "unary minus has no class meaning")
+
+
+def _set_add(node: Add, left: tuple, right: tuple) -> tuple[SetExpr, Polynomial]:
+    (s, p), (t, q) = left, right
+    if p * q != ZERO:
+        raise NotTotallyInterpretableError(
+            node,
+            f"{format_term(node.left, compact=True)} and "
+            f"{format_term(node.right, compact=True)} are not disjoint",
+        )
+    return SetUnion(s, t), p + q
+
+
+def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Polynomial]:
+    (s, p), (t, q) = left, right
+    if q * (ONE - p) != ZERO:
+        raise NotTotallyInterpretableError(
+            node,
+            f"{format_term(node.right, compact=True)} is not contained in "
+            f"{format_term(node.left, compact=True)}",
+        )
+    complement = SetComplement(t)
+    return (complement if isinstance(s, SetUniverse) else SetIntersection(s, complement)), p - q
+
+
+_TO_SET: dict[type, Callable] = {
+    Var: lambda node: (SetVar(node.name), Polynomial._raw({(node.name,): 1})),
+    One: lambda node: (SetUniverse(), ONE),
+    Zero: lambda node: (SetEmpty(), ZERO),
+    IntLit: _set_literal,
+    Mul: lambda node, left, right: (SetIntersection(left[0], right[0]), left[1] * right[1]),
+    Add: _set_add,
+    Sub: _set_sub,
+    # A power of an idempotent denotes the same class as its base, and
+    # every term that translates compiles to an idempotent.
+    Pow: lambda node, base: base,
+    # A leaf: unary minus fails whatever its operand.
+    Neg: _set_neg,
+}
+
+
 def to_set_expression(term: Term) -> SetExpr:
     """Translate a totally interpretable term to sets: ``+`` becomes
     union, ``*`` intersection, ``s - t`` becomes s intersected with the
     complement of t (``1 - t`` is plain complement), 1 the universe and
     0 the empty set.  Raises NotTotallyInterpretableError otherwise."""
-    if isinstance(term, Var):
-        return SetVar(term.name)
-    if isinstance(term, One):
-        return SetUniverse()
-    if isinstance(term, Zero):
-        return SetEmpty()
-    if isinstance(term, IntLit):
-        if term.value == 0:
-            return SetEmpty()
-        if term.value == 1:
-            return SetUniverse()
-        raise NotTotallyInterpretableError(term, f"{term.value} is not a class")
-    if isinstance(term, Mul):
-        return SetIntersection(to_set_expression(term.left), to_set_expression(term.right))
-    if isinstance(term, Add):
-        left = to_set_expression(term.left)
-        right = to_set_expression(term.right)
-        if term_to_poly(term.left) * term_to_poly(term.right) != ZERO:
-            raise NotTotallyInterpretableError(
-                term,
-                f"{format_term(term.left, compact=True)} and "
-                f"{format_term(term.right, compact=True)} are not disjoint",
-            )
-        return SetUnion(left, right)
-    if isinstance(term, Sub):
-        left = to_set_expression(term.left)
-        right = to_set_expression(term.right)
-        if term_to_poly(term.right) * (ONE - term_to_poly(term.left)) != ZERO:
-            raise NotTotallyInterpretableError(
-                term,
-                f"{format_term(term.right, compact=True)} is not contained in "
-                f"{format_term(term.left, compact=True)}",
-            )
-        if isinstance(left, SetUniverse):
-            return SetComplement(right)
-        return SetIntersection(left, SetComplement(right))
-    if isinstance(term, Pow):
-        # A power of an idempotent denotes the same class as its base.
-        return to_set_expression(term.base)
-    if isinstance(term, Neg):
-        raise NotTotallyInterpretableError(term, "unary minus has no class meaning")
-    raise TypeError(f"not a Term: {term!r}")
+    return _fold(term, _TO_SET, frozenset({Neg}))[0]
 
 
 def is_totally_interpretable(term: Term) -> bool:
@@ -486,69 +519,46 @@ def is_totally_interpretable(term: Term) -> bool:
     return True
 
 
+def _set_wrap(child: SetExpr, text: str) -> str:
+    return f"({text})" if type(child) in (SetUnion, SetIntersection) else text
+
+
+_FORMAT_SET: dict[type, Callable] = {
+    SetVar: lambda node: node.name,
+    SetUniverse: lambda node: "U",
+    SetEmpty: lambda node: "∅",
+    SetUnion: lambda node, s, t: _set_wrap(node.left, s) + " ∪ " + _set_wrap(node.right, t),
+    SetIntersection: lambda node, s, t: _set_wrap(node.left, s) + " ∩ " + _set_wrap(node.right, t),
+    SetComplement: lambda node, s: _set_wrap(node.operand, s) + "′",
+}
+
+
 def format_set_expression(expr: SetExpr) -> str:
     """Render with the usual symbols; nested binary operations are always
     parenthesized, complement is a postfix prime."""
-    if isinstance(expr, SetVar):
-        return expr.name
-    if isinstance(expr, SetUniverse):
-        return "U"
-    if isinstance(expr, SetEmpty):
-        return "∅"
-    if isinstance(expr, SetUnion):
-        return f"{_set_operand(expr.left)} ∪ {_set_operand(expr.right)}"
-    if isinstance(expr, SetIntersection):
-        return f"{_set_operand(expr.left)} ∩ {_set_operand(expr.right)}"
-    if isinstance(expr, SetComplement):
-        return _set_operand(expr.operand) + "′"
-    raise TypeError(f"not a SetExpr: {expr!r}")
-
-
-def _set_operand(expr: SetExpr) -> str:
-    text = format_set_expression(expr)
-    if isinstance(expr, (SetUnion, SetIntersection)):
-        return f"({text})"
-    return text
+    return _fold(expr, _FORMAT_SET)
 
 
 def eval_set_expression(expr: SetExpr, masks: Mapping[str, int], universe_mask: int) -> int:
     """Evaluate to a subset bitmask, given variable bitmasks and the full
     universe bitmask."""
-    if isinstance(expr, SetVar):
-        if expr.name not in masks:
-            raise KeyError(f"no value assigned to variable {expr.name!r}")
-        return masks[expr.name]
-    if isinstance(expr, SetUniverse):
-        return universe_mask
-    if isinstance(expr, SetEmpty):
-        return 0
-    if isinstance(expr, SetUnion):
-        return eval_set_expression(expr.left, masks, universe_mask) | eval_set_expression(
-            expr.right, masks, universe_mask
-        )
-    if isinstance(expr, SetIntersection):
-        return eval_set_expression(expr.left, masks, universe_mask) & eval_set_expression(
-            expr.right, masks, universe_mask
-        )
-    if isinstance(expr, SetComplement):
-        return universe_mask & ~eval_set_expression(expr.operand, masks, universe_mask)
-    raise TypeError(f"not a SetExpr: {expr!r}")
+    visits: dict[type, Callable] = {
+        SetVar: lambda node: _assigned(masks, node.name),
+        SetUniverse: lambda node: universe_mask,
+        SetEmpty: lambda node: 0,
+        SetUnion: lambda node, s, t: s | t,
+        SetIntersection: lambda node, s, t: s & t,
+        SetComplement: lambda node, s: universe_mask & ~s,
+    }
+    return _fold(expr, visits)
+
+
+def _assigned(values: Mapping[str, object], name: str):
+    if name not in values:
+        raise KeyError(f"no value assigned to variable {name!r}")
+    return values[name]
 
 
 def term_variables(term: Term) -> tuple[str, ...]:
     """Variable names occurring in a term, sorted."""
-    names: set[str] = set()
-
-    def walk(node: Term) -> None:
-        if isinstance(node, Var):
-            names.add(node.name)
-        elif isinstance(node, (Add, Sub, Mul)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Neg):
-            walk(node.operand)
-        elif isinstance(node, Pow):
-            walk(node.base)
-
-    walk(term)
-    return tuple(sorted(names))
+    return tuple(sorted({node.name for node in _postorder(term) if type(node) is Var}))

@@ -14,8 +14,28 @@ from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial
 from boole.development import DevelopmentTable
+from boole.models import ClassAssignment, Defined, Multiset, Undefined
 from boole.polynomial import _pairwise_product
-from boole.terms import Add, IntLit, Mul, Neg, One, Pow, Sub, Term, Var, Zero
+from boole.terms import (
+    Add,
+    IntLit,
+    Mul,
+    Neg,
+    NotTotallyInterpretableError,
+    One,
+    Pow,
+    SetComplement,
+    SetEmpty,
+    SetExpr,
+    SetIntersection,
+    SetUnion,
+    SetUniverse,
+    SetVar,
+    Sub,
+    Term,
+    Var,
+    Zero,
+)
 
 VAR_NAMES = ("v", "w", "x", "y", "z")
 
@@ -146,6 +166,213 @@ def oracle_interpretable_core(p: Polynomial, names) -> Polynomial:
     return total
 
 
+# The term traversals as direct recursions over the tree, kept as the
+# reference for the iterative fold: same results, and the same error at
+# the same subterm.  They recurse once per tree level, so they are for
+# small terms only.
+
+
+def _oracle_render(term: Term, compact: bool) -> tuple[str, int]:
+    # binding strengths: atom 5, power 4, product 3, sum 2, unary minus 1
+    plus, minus = ("+", "-") if compact else (" + ", " - ")
+    if isinstance(term, Var):
+        return term.name, 5
+    if isinstance(term, Zero):
+        return "0", 5
+    if isinstance(term, One):
+        return "1", 5
+    if isinstance(term, IntLit):
+        return str(term.value), 5
+    if isinstance(term, Add):
+        return f"{_oracle_child(term.left, 1, compact)}{plus}{_oracle_child(term.right, 3, compact)}", 2
+    if isinstance(term, Sub):
+        return f"{_oracle_child(term.left, 1, compact)}{minus}{_oracle_child(term.right, 3, compact)}", 2
+    if isinstance(term, Mul):
+        return f"{_oracle_child(term.left, 3, compact)}*{_oracle_child(term.right, 4, compact)}", 3
+    if isinstance(term, Neg):
+        return "-" + _oracle_child(term.operand, 3, compact), 1
+    if isinstance(term, Pow):
+        return _oracle_child(term.base, 4, compact) + f"^{term.exponent}", 4
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def _oracle_child(term: Term, minimum: int, compact: bool) -> str:
+    text, strength = _oracle_render(term, compact)
+    return f"({text})" if strength < minimum else text
+
+
+def oracle_format_term(term: Term, compact: bool = False) -> str:
+    return _oracle_render(term, compact)[0]
+
+
+def oracle_term_to_poly(term: Term) -> Polynomial:
+    if isinstance(term, Var):
+        return Polynomial.variable(term.name)
+    if isinstance(term, Zero):
+        return ZERO
+    if isinstance(term, One):
+        return ONE
+    if isinstance(term, IntLit):
+        return Polynomial.constant(term.value)
+    if isinstance(term, Add):
+        return oracle_term_to_poly(term.left) + oracle_term_to_poly(term.right)
+    if isinstance(term, Sub):
+        return oracle_term_to_poly(term.left) - oracle_term_to_poly(term.right)
+    if isinstance(term, Mul):
+        return oracle_term_to_poly(term.left) * oracle_term_to_poly(term.right)
+    if isinstance(term, Neg):
+        return -oracle_term_to_poly(term.operand)
+    if isinstance(term, Pow):
+        return oracle_term_to_poly(term.base) ** term.exponent
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def oracle_to_set_expression(term: Term) -> SetExpr:
+    """Raises at a unary minus before looking at its operand."""
+    if isinstance(term, Var):
+        return SetVar(term.name)
+    if isinstance(term, One):
+        return SetUniverse()
+    if isinstance(term, Zero):
+        return SetEmpty()
+    if isinstance(term, IntLit):
+        if term.value == 0:
+            return SetEmpty()
+        if term.value == 1:
+            return SetUniverse()
+        raise NotTotallyInterpretableError(term, f"{term.value} is not a class")
+    if isinstance(term, Mul):
+        return SetIntersection(oracle_to_set_expression(term.left), oracle_to_set_expression(term.right))
+    if isinstance(term, Add):
+        left = oracle_to_set_expression(term.left)
+        right = oracle_to_set_expression(term.right)
+        if oracle_term_to_poly(term.left) * oracle_term_to_poly(term.right) != ZERO:
+            raise NotTotallyInterpretableError(
+                term,
+                f"{oracle_format_term(term.left, compact=True)} and "
+                f"{oracle_format_term(term.right, compact=True)} are not disjoint",
+            )
+        return SetUnion(left, right)
+    if isinstance(term, Sub):
+        left = oracle_to_set_expression(term.left)
+        right = oracle_to_set_expression(term.right)
+        if oracle_term_to_poly(term.right) * (ONE - oracle_term_to_poly(term.left)) != ZERO:
+            raise NotTotallyInterpretableError(
+                term,
+                f"{oracle_format_term(term.right, compact=True)} is not contained in "
+                f"{oracle_format_term(term.left, compact=True)}",
+            )
+        if isinstance(left, SetUniverse):
+            return SetComplement(right)
+        return SetIntersection(left, SetComplement(right))
+    if isinstance(term, Pow):
+        return oracle_to_set_expression(term.base)
+    if isinstance(term, Neg):
+        raise NotTotallyInterpretableError(term, "unary minus has no class meaning")
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def oracle_format_set_expression(expr: SetExpr) -> str:
+    if isinstance(expr, SetVar):
+        return expr.name
+    if isinstance(expr, SetUniverse):
+        return "U"
+    if isinstance(expr, SetEmpty):
+        return "∅"
+    if isinstance(expr, SetUnion):
+        return f"{_oracle_set_operand(expr.left)} ∪ {_oracle_set_operand(expr.right)}"
+    if isinstance(expr, SetIntersection):
+        return f"{_oracle_set_operand(expr.left)} ∩ {_oracle_set_operand(expr.right)}"
+    if isinstance(expr, SetComplement):
+        return _oracle_set_operand(expr.operand) + "′"
+    raise TypeError(f"not a SetExpr: {expr!r}")
+
+
+def _oracle_set_operand(expr: SetExpr) -> str:
+    text = oracle_format_set_expression(expr)
+    return f"({text})" if isinstance(expr, (SetUnion, SetIntersection)) else text
+
+
+def oracle_eval_partial(term: Term, assignment: ClassAssignment):
+    """Visits a unary minus's operand first: an undefined operand wins."""
+    universe = assignment.universe.mask
+    if isinstance(term, Var):
+        return Defined(assignment.mask(term.name))
+    if isinstance(term, Zero):
+        return Defined(0)
+    if isinstance(term, One):
+        return Defined(universe)
+    if isinstance(term, IntLit):
+        if term.value == 0:
+            return Defined(0)
+        if term.value == 1:
+            return Defined(universe)
+        return Undefined(term, f"{term.value} is not a class")
+    if isinstance(term, (Mul, Add, Sub)):
+        left = oracle_eval_partial(term.left, assignment)
+        right = oracle_eval_partial(term.right, assignment)
+        if isinstance(left, Undefined):
+            return left
+        if isinstance(right, Undefined):
+            return right
+        if isinstance(term, Mul):
+            return Defined(left.subset & right.subset)
+        s = oracle_format_term(term.left, compact=True)
+        t = oracle_format_term(term.right, compact=True)
+        if isinstance(term, Add):
+            if left.subset & right.subset:
+                return Undefined(term, f"{s}+{t} requires {s}∩{t}=∅")
+            return Defined(left.subset | right.subset)
+        if right.subset & ~left.subset:
+            return Undefined(term, f"{s}-{t} requires {t}⊆{s}")
+        return Defined(left.subset & ~right.subset & universe)
+    if isinstance(term, Neg):
+        inner = oracle_eval_partial(term.operand, assignment)
+        if isinstance(inner, Undefined):
+            return inner
+        s = oracle_format_term(term.operand, compact=True)
+        return Undefined(term, f"-{s} uses unary minus, which is not a class operation")
+    if isinstance(term, Pow):
+        return oracle_eval_partial(term.base, assignment)
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def oracle_eval_multiset(term: Term, assignment: dict[str, Multiset], size: int) -> Multiset:
+    if isinstance(term, Var):
+        if term.name not in assignment:
+            raise KeyError(f"no value assigned to variable {term.name!r}")
+        return assignment[term.name]
+    if isinstance(term, Zero):
+        return Multiset.constant(0, size)
+    if isinstance(term, One):
+        return Multiset.constant(1, size)
+    if isinstance(term, IntLit):
+        return Multiset.constant(term.value, size)
+    if isinstance(term, Add):
+        return oracle_eval_multiset(term.left, assignment, size) + oracle_eval_multiset(term.right, assignment, size)
+    if isinstance(term, Sub):
+        return oracle_eval_multiset(term.left, assignment, size) - oracle_eval_multiset(term.right, assignment, size)
+    if isinstance(term, Mul):
+        return oracle_eval_multiset(term.left, assignment, size) * oracle_eval_multiset(term.right, assignment, size)
+    if isinstance(term, Neg):
+        return -oracle_eval_multiset(term.operand, assignment, size)
+    if isinstance(term, Pow):
+        return oracle_eval_multiset(term.base, assignment, size) ** term.exponent
+    raise TypeError(f"not a Term: {term!r}")
+
+
+def oracle_term_variables(term: Term) -> tuple[str, ...]:
+    if isinstance(term, Var):
+        return (term.name,)
+    if isinstance(term, (Add, Sub, Mul)):
+        return tuple(sorted(set(oracle_term_variables(term.left) + oracle_term_variables(term.right))))
+    if isinstance(term, Neg):
+        return oracle_term_variables(term.operand)
+    if isinstance(term, Pow):
+        return oracle_term_variables(term.base)
+    return ()
+
+
 # ----------------------------------------------------------------------
 # Hypothesis strategies
 
@@ -161,3 +388,24 @@ wide_monomials = st.frozensets(st.sampled_from(WIDE_NAMES), max_size=8).map(
     lambda s: tuple(sorted(s))
 )
 wide_polynomials = st.dictionaries(wide_monomials, coefficients, max_size=16).map(Polynomial)
+
+# Terms over x, y, z with every node type, a unary minus anywhere (inside
+# products, sums and powers too) and integer literals that have no class
+# meaning.
+term_leaves = st.one_of(
+    st.sampled_from(("x", "y", "z")).map(Var),
+    st.just(Zero()),
+    st.just(One()),
+    st.integers(min_value=0, max_value=3).map(IntLit),
+)
+terms = st.recursive(
+    term_leaves,
+    lambda sub: st.one_of(
+        st.builds(Add, sub, sub),
+        st.builds(Sub, sub, sub),
+        st.builds(Mul, sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Pow, sub, st.integers(min_value=1, max_value=3)),
+    ),
+    max_leaves=12,
+)

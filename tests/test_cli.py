@@ -122,6 +122,44 @@ def test_parse_error_reports_offset(capsys):
     assert "offset 3" in err
 
 
+def test_horn_parse_error_offsets_count_from_the_line(capsys):
+    code, _, err = run(capsys, "r01", "x = y & y = z -> x = q +")
+    assert code == 2
+    assert err == "error: line 1: expected a number, a variable or '(' at offset 24\n"
+
+
+def test_negative_class_element(capsys):
+    code, out, err = run(capsys, "eval", "x", "--classes", "U=2; x={-1}")
+    assert (code, out) == (2, "")
+    assert err == "error: element -1 is outside the universe\n"
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("boole.cli._cmd_normalize", crash)
+    code, out, err = run(capsys, "normalize", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+# A unary minus fails set translation before its operand is looked at,
+# while partial evaluation reports an undefined operand first.
+
+
+def test_setexpr_rejects_unary_minus_before_its_operand(capsys):
+    code, out, _ = run(capsys, "setexpr", "--", "(-(x+x))*y")
+    assert code == 1
+    assert out == "not totally interpretable: -(x + x) (unary minus has no class meaning)\n"
+
+
+def test_eval_reports_the_undefined_operand_of_unary_minus(capsys):
+    code, out, _ = run(capsys, "eval", "--classes", "U=1; x={0}; y={0}", "--", "(-(x+x))*y")
+    assert code == 1
+    assert out == "undefined: x+x requires x∩x=∅\n"
+
+
 def test_variable_cap_error(capsys):
     expr = "*".join(f"x{i:02d}" for i in range(21))
     code, _, err = run(capsys, "develop", expr)

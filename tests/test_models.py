@@ -46,6 +46,13 @@ def test_mask_helpers():
     assert elements_of(0) == ()
 
 
+def test_negative_elements_are_outside_the_universe():
+    with pytest.raises(ValueError, match="element -1 is outside the universe"):
+        mask_of([0, -1])
+    with pytest.raises(ValueError, match="element -1 is outside the universe"):
+        ClassAssignment(U2, {"x": [-1]})
+
+
 def test_class_assignment():
     a = ClassAssignment(U2, {"x": [0], "y": 0b11})
     assert a.mask("x") == 0b01 and a.subset("y") == {0, 1}

@@ -37,12 +37,23 @@ def test_parse_horn_bare_equation():
 
 
 def test_parse_horn_errors():
-    with pytest.raises(ParseError):
-        parse_horn("x + y")
-    with pytest.raises(ParseError):
-        parse_horn("x=y -> y=z -> x=z")
-    with pytest.raises(ParseError):
-        parse_horn("x = y = z")
+    # offsets count from the start of the whole sentence
+    cases = [
+        ("x + y", 0),
+        ("x=y -> y=z -> x=z", 11),
+        ("x = y = z", 6),
+        ("x = y & y = z -> x = q +", 24),
+        ("x = y & y -> x = z", 7),
+        ("x = y & y = z = x -> x = z", 14),
+        ("x = y -> y", 8),
+        ("x = $", 4),
+        ("x + = y", 4),
+        ("x = y & (y = z -> x = z", 11),
+    ]
+    for text, offset in cases:
+        with pytest.raises(ParseError) as excinfo:
+            parse_horn(text)
+        assert excinfo.value.position == offset, text
 
 
 # ----------------------------------------------------------------------
