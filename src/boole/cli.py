@@ -289,17 +289,15 @@ def _spec_parts(spec: str) -> tuple[Universe, list[tuple[str, str]]]:
     return universe, bindings
 
 
-def _integers(name: str, value: str, shape: str) -> list[int]:
-    # `shape` is "{elements}" or "[values]": the brackets and what they hold
-    if not value.startswith(shape[0]) or not value.endswith(shape[-1]):
-        raise ValueError(f"expected {name}={shape}, got {name}={value}")
-    body = value[1:-1].strip()
-    return [int(piece) for piece in body.split(",")] if body else []
-
-
 def _parse_class_spec(spec: str) -> ClassAssignment:
     universe, bindings = _spec_parts(spec)
-    masks = {name: _integers(name, value, "{elements}") for name, value in bindings}
+    masks: dict[str, object] = {}
+    for name, value in bindings:
+        if not value.startswith("{") or not value.endswith("}"):
+            raise ValueError(f"expected {name}={{elements}}, got {name}={value}")
+        body = value[1:-1].strip()
+        elements = [int(piece) for piece in body.split(",")] if body else []
+        masks[name] = elements
     return ClassAssignment(universe, masks)  # type: ignore[arg-type]
 
 
@@ -307,7 +305,10 @@ def _parse_multiset_spec(spec: str) -> tuple[Universe, dict[str, Multiset]]:
     universe, bindings = _spec_parts(spec)
     multisets: dict[str, Multiset] = {}
     for name, value in bindings:
-        entries = _integers(name, value, "[values]")
+        if not value.startswith("[") or not value.endswith("]"):
+            raise ValueError(f"expected {name}=[values], got {name}={value}")
+        body = value[1:-1].strip()
+        entries = [int(piece) for piece in body.split(",")] if body else []
         if len(entries) != universe.size:
             raise ValueError(
                 f"{name} needs {universe.size} values, got {len(entries)}"

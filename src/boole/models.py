@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Union
 
@@ -247,19 +246,23 @@ class Multiset:
             raise ValueError(f"{self} is not a characteristic function")
         return mask_of(i for i, v in enumerate(self.values) if v)
 
-    def _pointwise(self, op: Callable, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
+    def _match(self, other: "Multiset") -> None:
         if self.size != other.size:
-            raise ValueError(f"universe mismatch: sizes {self.size} and {other.size}")
-        return Multiset(tuple(map(op, self.values, other.values)))
+            raise ValueError(
+                f"universe mismatch: sizes {self.size} and {other.size}"
+            )
 
     def __add__(self, other: Union["Multiset", int]) -> "Multiset":
-        return self._pointwise(add, other)
+        other = _coerce(other, self.size)
+        self._match(other)
+        return Multiset(tuple(a + b for a, b in zip(self.values, other.values)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Multiset", int]) -> "Multiset":
-        return self._pointwise(sub, other)
+        other = _coerce(other, self.size)
+        self._match(other)
+        return Multiset(tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __rsub__(self, other: Union["Multiset", int]) -> "Multiset":
         return _coerce(other, self.size).__sub__(self)
@@ -268,7 +271,9 @@ class Multiset:
         return Multiset(tuple(-a for a in self.values))
 
     def __mul__(self, other: Union["Multiset", int]) -> "Multiset":
-        return self._pointwise(mul, other)
+        other = _coerce(other, self.size)
+        self._match(other)
+        return Multiset(tuple(a * b for a, b in zip(self.values, other.values)))
 
     __rmul__ = __mul__
 

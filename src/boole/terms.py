@@ -25,7 +25,6 @@ nested as memory allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import attrgetter
 from typing import Callable, Mapping
 
@@ -212,7 +211,7 @@ def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = froz
         kind = type(node)
         combine = visit.get(kind)
         if combine is None:
-            raise TypeError(f"not a {'SetExpr' if SetVar in visit else 'Term'}: {node!r}")
+            raise TypeError(f"unexpected {kind.__name__}: {node!r}")
         if kind in _BINARY:
             right = values.pop()
             values[-1] = combine(node, values[-1], right)
@@ -381,18 +380,29 @@ def format_term(term: Term, compact: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Compilation to polynomials
 #
-# Every value is a coefficient table of the node's own, so a chain of +
-# and - adds into one table, and a table is sorted into a Polynomial only
-# where a product or a power needs one.
+# Every value is a coefficient table of the node's own, so + and - add
+# the smaller table into the larger, and a table is sorted into a
+# Polynomial only where a product or a power needs one.
+
+
+def _sum(left: dict, right: dict, sign: int) -> dict:
+    # left + sign * right, added into the larger table, which is returned
+    if len(left) >= len(right):
+        return _add_into(left, right, sign)
+    if sign < 0:
+        for mono in right:
+            right[mono] = -right[mono]
+    return _add_into(right, left, 1)
+
 
 _COMPILE: dict[type, Callable] = {
     Var: lambda node: {(node.name,): 1},  # the name was checked by Var
     Zero: lambda node: {},
     One: lambda node: {(): 1},
     IntLit: lambda node: {(): node.value},
-    Add: lambda node, left, right: _add_into(left, right, 1),
-    Sub: lambda node, left, right: _add_into(left, right, -1),
-    Neg: lambda node, operand: _add_into({}, operand, -1),
+    Add: lambda node, left, right: _sum(left, right, 1),
+    Sub: lambda node, left, right: _sum(left, right, -1),
+    Neg: lambda node, operand: _sum({}, operand, -1),
     Mul: lambda node, left, right: dict((Polynomial._raw(left) * Polynomial._raw(right))._terms),
     Pow: lambda node, base: dict((Polynomial._raw(base) ** node.exponent)._terms),
 }
@@ -411,20 +421,29 @@ def poly(text: str) -> Polynomial:
 
 def to_term(p: Polynomial) -> Term:
     """A term whose compilation is exactly `p` (canonical term order)."""
+    items = list(p.terms.items())
+    if not items:
+        return Zero()
     node: Term | None = None
-    for mono, coeff in p.terms.items():
+    for mono, coeff in items:
         body = _monomial_term(mono, abs(coeff))
         if node is None:
             node = Neg(body) if coeff < 0 else body
         else:
             node = Sub(node, body) if coeff < 0 else Add(node, body)
-    return Zero() if node is None else node
+    assert node is not None
+    return node
 
 
 def _monomial_term(mono: tuple[str, ...], magnitude: int) -> Term:
-    factors: list[Term] = [_int_term(magnitude)] if magnitude != 1 or not mono else []
+    factors: list[Term] = []
+    if magnitude != 1 or not mono:
+        factors.append(_int_term(magnitude))
     factors.extend(Var(name) for name in mono)
-    return reduce(Mul, factors)
+    node = factors[0]
+    for factor in factors[1:]:
+        node = Mul(node, factor)
+    return node
 
 
 # ----------------------------------------------------------------------
@@ -449,49 +468,53 @@ class NotTotallyInterpretableError(Exception):
         self.condition = condition
 
 
-# A value is a pair: the set expression and the subterm's polynomial,
-# for the side conditions of the + and - above it.
+# A value is a pair: the set expression and a function that returns the
+# subterm's polynomial, called only by a + or - above it for its side
+# condition.  A sum or difference hands on the polynomials its own check
+# computed; a product is compiled only when asked, as multiplying out a
+# product of sums can take exponential room.
 
 
-def _set_literal(node: IntLit) -> tuple[SetExpr, Polynomial]:
+def _set_literal(node: IntLit) -> tuple[SetExpr, Callable]:
     if node.value > 1:
         raise NotTotallyInterpretableError(node, f"{node.value} is not a class")
-    return (SetUniverse(), ONE) if node.value else (SetEmpty(), ZERO)
+    return (SetUniverse(), lambda: ONE) if node.value else (SetEmpty(), lambda: ZERO)
 
 
 def _set_neg(node: Neg):
     raise NotTotallyInterpretableError(node, "unary minus has no class meaning")
 
 
-def _set_add(node: Add, left: tuple, right: tuple) -> tuple[SetExpr, Polynomial]:
-    (s, p), (t, q) = left, right
+def _set_add(node: Add, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
+    p, q = left[1](), right[1]()
     if p * q != ZERO:
         raise NotTotallyInterpretableError(
             node,
             f"{format_term(node.left, compact=True)} and "
             f"{format_term(node.right, compact=True)} are not disjoint",
         )
-    return SetUnion(s, t), p + q
+    return SetUnion(left[0], right[0]), lambda: p + q
 
 
-def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Polynomial]:
-    (s, p), (t, q) = left, right
+def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
+    p, q = left[1](), right[1]()
     if q * (ONE - p) != ZERO:
         raise NotTotallyInterpretableError(
             node,
             f"{format_term(node.right, compact=True)} is not contained in "
             f"{format_term(node.left, compact=True)}",
         )
-    complement = SetComplement(t)
-    return (complement if isinstance(s, SetUniverse) else SetIntersection(s, complement)), p - q
+    s, complement = left[0], SetComplement(right[0])
+    expr = complement if isinstance(s, SetUniverse) else SetIntersection(s, complement)
+    return expr, lambda: p - q
 
 
 _TO_SET: dict[type, Callable] = {
-    Var: lambda node: (SetVar(node.name), Polynomial._raw({(node.name,): 1})),
-    One: lambda node: (SetUniverse(), ONE),
-    Zero: lambda node: (SetEmpty(), ZERO),
+    Var: lambda node: (SetVar(node.name), lambda: Polynomial._raw({(node.name,): 1})),
+    One: lambda node: (SetUniverse(), lambda: ONE),
+    Zero: lambda node: (SetEmpty(), lambda: ZERO),
     IntLit: _set_literal,
-    Mul: lambda node, left, right: (SetIntersection(left[0], right[0]), left[1] * right[1]),
+    Mul: lambda node, left, right: (SetIntersection(left[0], right[0]), lambda: term_to_poly(node)),
     Add: _set_add,
     Sub: _set_sub,
     # A power of an idempotent denotes the same class as its base, and

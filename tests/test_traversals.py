@@ -9,6 +9,7 @@ minus before looking at its operand, partial evaluation looks first).
 """
 
 import sys
+import time
 
 import pytest
 from hypothesis import example, given
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from boole.cli import main
 from boole.models import ClassAssignment, Defined, Multiset, Universe, eval_multiset, eval_partial
+from boole.polynomial import Polynomial
 from boole.terms import (
     Add,
     IntLit,
@@ -151,10 +153,12 @@ def test_variables_match_oracle(term):
 
 def test_errors_for_what_is_not_a_node():
     for function in (term_to_poly, format_term, to_set_expression):
-        with pytest.raises(TypeError, match="not a Term: 5"):
+        with pytest.raises(TypeError, match="unexpected int: 5"):
             function(Add(X, 5))
-    with pytest.raises(TypeError, match="not a SetExpr: 5"):
+    with pytest.raises(TypeError, match="unexpected int: 5"):
         format_set_expression(5)
+    with pytest.raises(TypeError, match="unexpected Var: Var"):
+        format_set_expression(X)
 
 
 # ----------------------------------------------------------------------
@@ -240,3 +244,34 @@ def test_deep_inputs_on_the_command_line(capsys, command, text):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.endswith("\n")
+
+
+# ----------------------------------------------------------------------
+# Wide inputs whose cost depends on what the fold multiplies or copies
+
+# Multiplied out, this product of 30 complements has 2^30 monomials.
+WIDE_PRODUCT = "*".join(f"(1 - y{i})" for i in range(30))
+# y0 + (y1 + (y2 + ...)), nested to the right
+RIGHT_SUM = " + (".join(f"y{i}" for i in range(20000)) + ")" * 19999
+
+
+def test_wide_product_is_not_multiplied_out(capsys, monkeypatch):
+    multiply = Polynomial.__mul__
+
+    def small_product(p, q):
+        product = multiply(p, q)
+        assert len(product.terms) <= 4, "a product was multiplied out"
+        return product
+
+    monkeypatch.setattr(Polynomial, "__mul__", small_product)
+    start = time.perf_counter()
+    assert str(to_set_expression(parse(WIDE_PRODUCT))).count("′") == 30
+    assert main(["setexpr", WIDE_PRODUCT]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.count("′") == 30
+
+
+def test_right_nested_sum_compiles_without_copying_each_level():
+    start = time.perf_counter()
+    assert len(term_to_poly(parse(RIGHT_SUM)).terms) == 20000
+    assert time.perf_counter() - start < 5
