@@ -251,7 +251,7 @@ class Polynomial:
         # paths are one multiplication, so it skips the variable count.
         if len(self._terms) > 1 and len(other._terms) > 1:
             names = tuple(sorted(_variable_set(self) | _variable_set(other)))
-            if len(names) * (1 << len(names)) < pairs:
+            if _dense_pays(len(names), pairs):
                 return _dense_product(self, other, names)
         return _pairwise_product(self, other)
 
@@ -353,6 +353,12 @@ def _coerce(value: object):
     if isinstance(value, int):
         return Polynomial.constant(value)
     return NotImplemented
+
+
+def _dense_pays(names: int, pairs: int) -> bool:
+    # The product rule: over `names` variables in all, operands with more
+    # term pairs than names * 2**names multiply pointwise as value vectors.
+    return names * (1 << names) < pairs
 
 
 def _variable_set(p: Polynomial) -> set[str]:

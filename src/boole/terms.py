@@ -25,10 +25,12 @@ nested as memory allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from itertools import compress
+from operator import attrgetter, or_
 from typing import Callable, Mapping
 
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _require_name
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _dense_pays, _require_name
 
 __all__ = [
     "Add",
@@ -380,38 +382,93 @@ def format_term(term: Term, compact: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Compilation to polynomials
 #
-# Every value is a coefficient table of the node's own, so + and - add
-# the smaller table into the larger, and a table is sorted into a
-# Polynomial only where a product or a power needs one.
+# Every value is a sign and a coefficient table of the node's own, the
+# value being the sign times the table.  A table's monomials are
+# bitmasks over the term's variables, bit i for the i-th name in sorted
+# order, so two monomials multiply by one `|` however long they are.
+# Unary minus flips the sign, + and - add the smaller table into the
+# larger, and a product multiplies term by term unless Polynomial's rule
+# sends it to the value kernel.  Only there, in powers and at the root do
+# masks become name tuples.
 
 
-def _sum(left: dict, right: dict, sign: int) -> dict:
-    # left + sign * right, added into the larger table, which is returned
-    if len(left) >= len(right):
-        return _add_into(left, right, sign)
-    if sign < 0:
-        for mono in right:
-            right[mono] = -right[mono]
-    return _add_into(right, left, 1)
+def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[int, dict]:
+    # left + sign * right, added into the larger table
+    (lsign, ltable), (rsign, rtable) = left, right
+    rsign *= sign
+    if len(ltable) >= len(rtable):
+        return lsign, _add_into(ltable, rtable, lsign * rsign)
+    return rsign, _add_into(rtable, ltable, lsign * rsign)
 
 
-_COMPILE: dict[type, Callable] = {
-    Var: lambda node: {(node.name,): 1},  # the name was checked by Var
-    Zero: lambda node: {},
-    One: lambda node: {(): 1},
-    IntLit: lambda node: {(): node.value},
-    Add: lambda node, left, right: _sum(left, right, 1),
-    Sub: lambda node, left, right: _sum(left, right, -1),
-    Neg: lambda node, operand: _sum({}, operand, -1),
-    Mul: lambda node, left, right: dict((Polynomial._raw(left) * Polynomial._raw(right))._terms),
-    Pow: lambda node, base: dict((Polynomial._raw(base) ** node.exponent)._terms),
-}
+def _mask_product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    # Term by term.  By a one-term factor the table is built in one step,
+    # unless two of its monomials meet in one product and must be added.
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        [(m, c)] = p.items()
+        table = {a | m: c * ca for a, ca in q.items()}
+        if len(table) == len(q):
+            return table
+    table: dict[int, int] = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            table[a | b] = table.get(a | b, 0) + ca * cb
+    return table
+
+
+def _compile_visits(names: tuple[str, ...]) -> dict[type, Callable]:
+    bits = {name: 1 << i for i, name in enumerate(names)}
+
+    def product(node: Mul, left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
+        (lsign, ltable), (rsign, rtable) = left, right
+        if len(ltable) > 1 and len(rtable) > 1:
+            used = reduce(or_, ltable) | reduce(or_, rtable)
+            if _dense_pays(used.bit_count(), len(ltable) * len(rtable)):
+                dense = _polynomial(ltable, names) * _polynomial(rtable, names)
+                return lsign * rsign, _masks(dense, bits)
+        return lsign * rsign, _mask_product(ltable, rtable)
+
+    def power(node: Pow, base: tuple[int, dict]) -> tuple[int, dict]:
+        sign, table = base
+        return sign if node.exponent & 1 else 1, _masks(_polynomial(table, names) ** node.exponent, bits)
+
+    return {
+        Var: lambda node: (1, {bits[node.name]: 1}),
+        Zero: lambda node: (1, {}),
+        One: lambda node: (1, {0: 1}),
+        IntLit: lambda node: (1, {0: node.value}),
+        Add: lambda node, left, right: _sum(left, right, 1),
+        Sub: lambda node, left, right: _sum(left, right, -1),
+        Neg: lambda node, operand: (-operand[0], operand[1]),
+        Mul: product,
+        Pow: power,
+    }
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _polynomial(table: dict[int, int], names: tuple[str, ...], sign: int = 1) -> Polynomial:
+    # bin() lists a mask's bits highest first; reversed and read as bytes
+    # 0 and 1, it selects names[i] for bit i.
+    return Polynomial._raw({
+        tuple(compress(names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))): sign * coeff
+        for mask, coeff in table.items()
+    })
+
+
+def _masks(p: Polynomial, bits: dict[str, int]) -> dict[int, int]:
+    return {sum(map(bits.__getitem__, mono)): coeff for mono, coeff in p.terms.items()}
 
 
 def term_to_poly(term: Term) -> Polynomial:
     """Compile a term to its canonical polynomial (powers computed with
     the flattening product, so idempotence of variables is built in)."""
-    return Polynomial._raw(_fold(term, _COMPILE))
+    names = term_variables(term)
+    sign, table = _fold(term, _compile_visits(names))
+    return _polynomial(table, names, sign)
 
 
 def poly(text: str) -> Polynomial:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import boole.polynomial
 from boole.cli import main
 from boole.models import ClassAssignment, Defined, Multiset, Universe, eval_multiset, eval_partial
 from boole.polynomial import Polynomial
@@ -71,6 +72,12 @@ def outcome(function, *args):
 
 
 @given(terms)
+@example(Pow(Neg(Add(X, Y)), 2))
+@example(Neg(Pow(Neg(Add(X, IntLit(2))), 3)))
+@example(Mul(Neg(X), Neg(Add(X, Y))))
+@example(parse("x - (y - (x*y - (1 - x)))"))
+@example(parse("x*(1 + x + y + x*y)"))  # x*1 and x*x meet in x, x*y and x*x*y in x*y
+@example(parse("(x*y)*(x + y + 2*z) - (1 + x)*(1 - x)"))
 def test_compile_matches_oracle(term):
     assert term_to_poly(term).terms == oracle_term_to_poly(term).terms
 
@@ -251,8 +258,11 @@ def test_deep_inputs_on_the_command_line(capsys, command, text):
 
 # Multiplied out, this product of 30 complements has 2^30 monomials.
 WIDE_PRODUCT = "*".join(f"(1 - y{i})" for i in range(30))
-# y0 + (y1 + (y2 + ...)), nested to the right
+# y0 + (y1 + (y2 + ...)) and y0 - (y1 - (y2 - ...)), nested to the right
 RIGHT_SUM = " + (".join(f"y{i}" for i in range(20000)) + ")" * 19999
+RIGHT_DIFFERENCE = RIGHT_SUM.replace("+", "-")
+# d0 + (d1 * (d2 - (d3 + (d4 * ...)))): each product has a one-term factor
+SPINE = "".join(f"d{i} {'+*-'[i % 3]} (" for i in range(300)) + "d300" + ")" * 300
 
 
 def test_wide_product_is_not_multiplied_out(capsys, monkeypatch):
@@ -275,3 +285,20 @@ def test_right_nested_sum_compiles_without_copying_each_level():
     start = time.perf_counter()
     assert len(term_to_poly(parse(RIGHT_SUM)).terms) == 20000
     assert time.perf_counter() - start < 5
+
+
+def test_right_nested_difference_compiles_without_negating_each_level():
+    start = time.perf_counter()
+    table = term_to_poly(parse(RIGHT_DIFFERENCE)).terms
+    assert [table[(f"y{i}",)] for i in range(20000)] == [1, -1] * 10000
+    assert time.perf_counter() - start < 5
+
+
+def test_products_with_a_one_term_factor_are_sorted_once(monkeypatch):
+    term = parse(SPINE)
+    expected = oracle_term_to_poly(term).terms
+    sorts = []
+    canonical = boole.polynomial._canonical
+    monkeypatch.setattr(boole.polynomial, "_canonical", lambda table: sorts.append(1) or canonical(table))
+    assert term_to_poly(term).terms == expected
+    assert len(sorts) == 1
