@@ -28,7 +28,7 @@ from .models import (
     eval_multiset,
     eval_partial,
 )
-from .polynomial import Polynomial, VariableLimitError, is_valid_name
+from .polynomial import Polynomial, VariableLimitError, _require_name, is_valid_name
 from .r01 import check_r01, parse_horn
 from .terms import (
     NotTotallyInterpretableError,
@@ -66,10 +66,7 @@ def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> No
 
 
 def _split_names(listing: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in listing.split(",") if part.strip())
-    for name in names:
-        if not is_valid_name(name):
-            raise ValueError(f"invalid variable name {name!r}")
+    names = tuple(_require_name(part.strip()) for part in listing.split(",") if part.strip())
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate variable in {listing!r}")
     return names
@@ -122,9 +119,7 @@ def _cmd_eliminate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    unknown = args.unknown
-    if not is_valid_name(unknown):
-        raise ValueError(f"invalid variable name {unknown!r}")
+    unknown = _require_name(args.unknown)
     solution = solve(poly(args.expr), unknown, max_vars=args.max_vars)
     if solution.vacuous:
         print(

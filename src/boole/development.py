@@ -9,7 +9,7 @@ Conventions, fixed once and used everywhere:
   (00, 01, 10, 11, ...);
 * a sigma read as a binary number is the index of its point: bit m-1-i
   belongs to the i-th variable, the convention of the value kernel in
-  ``polynomial`` and of the bitmasks in ``r01``.
+  ``polynomial``.
 
 Over variables x1 < ... < xm the constituent of a sigma is the product
 of xi where the bit is 1 and (1 - xi) where it is 0.  Constituents are
@@ -30,9 +30,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .polynomial import (
     Monomial,
     Polynomial,
+    _require_name,
     check_variable_limit,
     from_point_values,
-    is_valid_name,
     point_polynomials,
     point_values,
 )
@@ -47,6 +47,7 @@ __all__ = [
     "first_difference",
     "from_table",
     "interpretable_core",
+    "least_point",
     "sigma_assignment",
     "sigma_strings",
 ]
@@ -73,8 +74,7 @@ def _check_sigma(sigma: str, length: int) -> None:
 def _check_variables(variables: Iterable[str]) -> tuple[str, ...]:
     ordered = tuple(variables)
     for name in ordered:
-        if not is_valid_name(name):
-            raise ValueError(f"invalid variable name {name!r}")
+        _require_name(name)
     if any(a >= b for a, b in zip(ordered, ordered[1:])):
         raise ValueError(
             f"variable list {ordered!r} must be strictly ascending; sigma "
@@ -194,9 +194,41 @@ def first_difference(
     """The first sigma (in counting order) where the complete developments
     of p and q differ, or None when they are equal."""
     both = set(p.variables()) | set(q.variables())
-    names, left = _values(p, both if variables is None else variables, max_vars)
-    right = _values(q, names, max_vars)[1]
-    return next((s for s, a, b in zip(sigma_strings(len(names)), left, right) if a != b), None)
+    names = _limited(_covering(p, both if variables is None else variables), max_vars)
+    _covering(q, names)
+    found = least_point(p - q, (), names)
+    return None if found is None else found[0]
+
+
+def least_point(
+    consequent: Polynomial,
+    antecedents: Sequence[Polynomial],
+    names: Sequence[str],
+) -> tuple[str, int] | None:
+    """The least sigma over `names` (ascending, covering every polynomial)
+    where every antecedent is 0 and the consequent is not, and the
+    consequent's value there; None if there is none.  Branch and prune, 0
+    before 1, on an explicit stack: a subcube is dropped when the
+    consequent is the zero polynomial on it or an antecedent a nonzero
+    constant.  At worst, 2**(n-10) subcubes of 1024 points are scanned."""
+    stack = [("", (consequent, *antecedents))]
+    while stack:
+        prefix, (p, *conditions) = stack.pop()
+        if not p or any(a and a.is_constant() for a in conditions):
+            continue
+        rest = names[len(prefix) :]
+        if len(rest) > 10:  # subcubes of at most 1024 points are scanned
+            split = [point_polynomials(q, rest[:1]) for q in (p, *conditions)]
+            stack += [(prefix + str(bit), [entries[bit] for entries in split]) for bit in (1, 0)]
+            continue
+        values = point_values(p, rest)[()]
+        for a in filter(None, conditions):
+            values = [0 if blocked else v for v, blocked in zip(values, point_values(a, rest)[()])]
+        for index, value in enumerate(values):
+            if value:
+                bits = "".join(str(index >> i & 1) for i in reversed(range(len(rest))))
+                return prefix + bits, value
+    return None
 
 
 def interpretable_core(

@@ -10,17 +10,17 @@ bridge between them:
   universe, where every term is interpretable and the characteristic
   functions are exactly the idempotents.
 
-Subsets are bitmasks over universes of at most 16 elements, so the
-exhaustive enumeration oracles stay fast and exact.
+Subsets are bitmasks over universes of at most 16 elements.  By the Rule
+of 0 and 1, ``holds_in_idempotents`` is a 0/1 search, not an enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Union
 
+from .development import least_point, sigma_assignment
 from .polynomial import Polynomial, check_variable_limit
 from .terms import (
     Add,
@@ -64,6 +64,16 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
+def _subset_mask(subset: int | Iterable[int], universe: Universe, message: str) -> int:
+    # Sizes are compared before any shift; -1 (all bits set) is too large.
+    if not isinstance(subset, int):
+        subset = tuple(subset)
+        subset = mask_of(subset) if all(e < universe.size for e in subset) else -1
+    if subset & ~universe.mask:
+        raise ValueError(message)
+    return subset
+
+
 def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -100,14 +110,8 @@ class ClassAssignment:
     def __post_init__(self) -> None:
         clean: dict[str, int] = {}
         for name in sorted(self.masks):
-            value = self.masks[name]
-            if not isinstance(value, int):
-                value = mask_of(value)
-            if value & ~self.universe.mask:
-                raise ValueError(
-                    f"assignment for {name!r} is not a subset of the universe"
-                )
-            clean[name] = value
+            problem = f"assignment for {name!r} is not a subset of the universe"
+            clean[name] = _subset_mask(self.masks[name], self.universe, problem)
         object.__setattr__(self, "masks", MappingProxyType(clean))
 
     def mask(self, name: str) -> int:
@@ -296,9 +300,7 @@ def _coerce(value: Union["Multiset", int], size: int) -> Multiset:
 
 def chi(subset: int | Iterable[int], universe: Universe) -> Multiset:
     """The characteristic function of a subset: 1 on it, 0 off it."""
-    mask = subset if isinstance(subset, int) else mask_of(subset)
-    if mask & ~universe.mask:
-        raise ValueError("subset is not contained in the universe")
+    mask = _subset_mask(subset, universe, "subset is not contained in the universe")
     return Multiset(tuple(mask >> i & 1 for i in universe.elements()))
 
 
@@ -340,7 +342,7 @@ def eval_multiset(
 
 
 # ----------------------------------------------------------------------
-# Exhaustive idempotent checking
+# Idempotent checking
 
 
 def holds_in_idempotents(
@@ -356,13 +358,15 @@ def holds_in_idempotents(
     fixed enumeration order: variables sorted by name, subsets by
     increasing bitmask, earlier variables varying slowest.  Note the
     counterexample is truthy; compare against True explicitly.
+
+    An assignment fails where eq_lhs is nonzero at some element's 0/1
+    point, so the first puts element 0 at the least failing point and no
+    other element in any class: earlier ones give every element an earlier
+    point.
     """
     names = eq_lhs.variables()
     check_variable_limit(universe.size * len(names), max_vars)
-    for combo in product(universe.subsets(), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        for i in universe.elements():
-            point = {name: mask >> i & 1 for name, mask in assignment.items()}
-            if eq_lhs.evaluate(point) != 0:
-                return ClassAssignment(universe, assignment)
-    return True
+    found = least_point(eq_lhs, (), names) if universe.size else None
+    if found is None:
+        return True
+    return ClassAssignment(universe, sigma_assignment(found[0], names))

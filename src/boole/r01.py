@@ -2,14 +2,14 @@
 
 A (quasi-)equational sentence holds in Boole's algebra of logic exactly
 when it holds in the ring of integers with every variable restricted to
-the values 0 and 1.  The checker therefore enumerates all 0/1
-assignments: wherever every antecedent equation is satisfied, the
+the values 0 and 1: wherever every antecedent equation is satisfied, the
 consequent must be too.  Equations are the antecedent-free case.
 
 Only universally quantified implications between equations are accepted
 (equations and quasi-equations); disjunctive or existential Horn forms
-are out of scope here.  Cost is one polynomial evaluation sweep over
-2**n assignments; twenty variables complete in seconds.
+are out of scope here.  The checker is the branch-and-prune search
+``development.least_point``: an equation takes at most one split per
+variable; a quasi-equation at worst 2**(n-10) scans of 1024 points.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from .development import least_point, sigma_assignment
 from .polynomial import Polynomial, check_variable_limit
 from .terms import ParseError, poly
 
@@ -65,57 +66,21 @@ class Verdict:
 
 
 def check_r01(sentence: HornSentence, *, max_vars: int | None = None) -> Verdict:
-    """Enumerate all 0/1 assignments to the sentence's variables; report
-    the lexicographically least violating assignment, if any."""
+    """Decide the sentence over all 0/1 assignments to its variables;
+    report the lexicographically least violating assignment, if any."""
     names = sentence.variables
-    n = len(names)
-    check_variable_limit(n, max_vars)
-    antecedents = [_compile(p, names) for p in sentence.antecedents]
-    consequent = _compile(sentence.consequent, names)
-    for point in range(1 << n):
-        # assignments violating some antecedent are vacuous
-        if any(_value_at(a, point) != 0 for a in antecedents):
-            continue
-        result = _value_at(consequent, point)
-        if result != 0:
-            witness = {
-                name: point >> (n - 1 - i) & 1 for i, name in enumerate(names)
-            }
-            return Verdict(
-                holds=False,
-                witness=witness,
-                antecedent_values=(0,) * len(antecedents),
-                consequent_value=result,
-            )
-    return Verdict(holds=True)
+    check_variable_limit(len(names), max_vars)
+    found = least_point(sentence.consequent, sentence.antecedents, names)
+    if found is None:
+        return Verdict(holds=True)
+    sigma, value = found
+    zeros = (0,) * len(sentence.antecedents)
+    return Verdict(False, sigma_assignment(sigma, names), zeros, value)
 
 
 def check_equation(p: Polynomial, *, max_vars: int | None = None) -> Verdict:
     """Does p = 0 hold identically over 0/1 values?"""
     return check_r01(HornSentence((), p), max_vars=max_vars)
-
-
-# At a 0/1 point a monomial contributes its coefficient exactly when all
-# its variables are 1, so each polynomial compiles to (bitmask, coeff)
-# pairs and evaluation is a subset test.  Bit n-1-i of a point belongs to
-# the i-th variable, which makes ascending point order the
-# lexicographic order on assignments.
-
-
-def _compile(p: Polynomial, names: tuple[str, ...]) -> list[tuple[int, int]]:
-    n = len(names)
-    position = {name: n - 1 - i for i, name in enumerate(names)}
-    compiled = []
-    for mono, coeff in p.terms.items():
-        mask = 0
-        for name in mono:
-            mask |= 1 << position[name]
-        compiled.append((mask, coeff))
-    return compiled
-
-
-def _value_at(compiled: list[tuple[int, int]], point: int) -> int:
-    return sum(coeff for mask, coeff in compiled if point & mask == mask)
 
 
 def parse_horn(text: str) -> HornSentence:

@@ -24,6 +24,7 @@ nested as memory allows.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
@@ -241,6 +242,8 @@ class ParseError(Exception):
 
 
 _SYMBOLS = set("+-*^()")
+# ASCII only: str.isdigit and str.isalnum also accept "²" and "٣".
+_NAME_CHARACTERS = set(string.ascii_letters + string.digits + "_")
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -253,14 +256,14 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch in _SYMBOLS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in string.digits:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in string.digits:
                 i += 1
             tokens.append(("INT", int(text[start:i]), start))
-        elif ch.isalpha():
+        elif ch in string.ascii_letters:
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARACTERS:
                 i += 1
             tokens.append(("IDENT", text[start:i], start))
         else:

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial
 from boole.development import DevelopmentTable
-from boole.models import ClassAssignment, Defined, Multiset, Undefined
+from boole.models import ClassAssignment, Defined, Multiset, Undefined, Universe
 from boole.polynomial import _pairwise_product
+from boole.r01 import HornSentence, Verdict
 from boole.terms import (
     Add,
     IntLit,
@@ -164,6 +165,54 @@ def oracle_interpretable_core(p: Polynomial, names) -> Polynomial:
         if coeff:
             total = total + oracle_constituent(sigma, table.variables)
     return total
+
+
+# The Rule of 0 and 1 and idempotent checking by exhaustive enumeration,
+# kept as the reference for the branch-and-prune search.
+
+
+def oracle_check_r01(sentence: HornSentence) -> Verdict:
+    """Sweep every 0/1 point in sigma order.  At a point a monomial adds
+    its coefficient exactly when all its variables are 1, so each
+    polynomial becomes (bitmask, coefficient) pairs and evaluation is a
+    subset test; bit n-1-i of a point belongs to the i-th variable."""
+    names = sentence.variables
+    n = len(names)
+    position = {name: n - 1 - i for i, name in enumerate(names)}
+
+    def compiled(p: Polynomial) -> list[tuple[int, int]]:
+        return [(sum(1 << position[name] for name in mono), coeff) for mono, coeff in p.terms.items()]
+
+    def value_at(pairs: list[tuple[int, int]], point: int) -> int:
+        return sum(coeff for mask, coeff in pairs if point & mask == mask)
+
+    antecedents = [compiled(p) for p in sentence.antecedents]
+    consequent = compiled(sentence.consequent)
+    for point in range(1 << n):
+        if any(value_at(a, point) != 0 for a in antecedents):
+            continue
+        result = value_at(consequent, point)
+        if result != 0:
+            return Verdict(
+                holds=False,
+                witness={name: point >> (n - 1 - i) & 1 for i, name in enumerate(names)},
+                antecedent_values=(0,) * len(antecedents),
+                consequent_value=result,
+            )
+    return Verdict(holds=True)
+
+
+def oracle_holds_in_idempotents(eq_lhs: Polynomial, universe: Universe):
+    """Try every assignment of subsets, earlier variables varying slowest,
+    and evaluate at the point of every element."""
+    names = eq_lhs.variables()
+    for combo in product(universe.subsets(), repeat=len(names)):
+        assignment = dict(zip(names, combo))
+        for i in universe.elements():
+            point = {name: mask >> i & 1 for name, mask in assignment.items()}
+            if eq_lhs.evaluate(point) != 0:
+                return ClassAssignment(universe, assignment)
+    return True
 
 
 # The term traversals as direct recursions over the tree, kept as the
@@ -409,3 +458,33 @@ terms = st.recursive(
     ),
     max_leaves=12,
 )
+
+# Horn sentences over up to 14 variables, so that the search splits above
+# its scanning size of 10 names.  Antecedents may hold on many points
+# (x - y, x*y - z, x + y - 1, a sum of every variable minus a constant);
+# consequents vanish wherever the antecedents do, plus an optional
+# remainder, possibly one monomial of high degree, that makes them fail.
+HORN_NAMES = tuple(f"x{i:02d}" for i in range(14))
+
+
+@st.composite
+def horn_sentences(draw) -> HornSentence:
+    sizes = st.integers(min_value=11, max_value=14) if draw(st.booleans()) else st.integers(min_value=0, max_value=6)
+    names = HORN_NAMES[: draw(sizes)]
+    if not names:
+        constants = st.integers(min_value=-2, max_value=2).map(Polynomial.constant)
+        return HornSentence(tuple(draw(st.lists(constants, max_size=2))), draw(constants))
+    monos = st.frozensets(st.sampled_from(names), max_size=4).map(lambda s: tuple(sorted(s)))
+    small = st.dictionaries(monos, coefficients, max_size=4).map(Polynomial)
+    wide = st.frozensets(st.sampled_from(names), min_size=1).map(lambda s: Polynomial({tuple(sorted(s)): 1}))
+    total = Polynomial({(name,): 1 for name in names})
+    sums = st.integers(min_value=0, max_value=len(names)).map(lambda k: total - k)
+    shapes = [small, sums]
+    if len(names) >= 3:
+        triples = st.permutations(names).map(lambda order: [Polynomial.variable(v) for v in order[:3]])
+        shapes.append(triples.flatmap(lambda t: st.sampled_from((t[0] - t[1], t[0] * t[1] - t[2], t[0] + t[1] - 1))))
+    antecedents = draw(st.lists(st.one_of(shapes), max_size=3))
+    consequent = draw(st.one_of(st.just(ZERO), small, wide, sums, st.builds(lambda p, q: p * q, wide, sums)))
+    for antecedent in antecedents:
+        consequent = consequent + draw(small) * antecedent
+    return HornSentence(tuple(antecedents), consequent)

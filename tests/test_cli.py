@@ -122,6 +122,13 @@ def test_parse_error_reports_offset(capsys):
     assert "offset 3" in err
 
 
+@pytest.mark.parametrize("text, offset", [("²", 0), ("x²", 1), ("x + ٣", 4), ("é", 0)])
+def test_non_ascii_digits_and_letters_are_parse_errors(capsys, text, offset):
+    code, out, err = run(capsys, "normalize", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unexpected character") and f"offset {offset}" in err
+
+
 def test_horn_parse_error_offsets_count_from_the_line(capsys):
     code, _, err = run(capsys, "r01", "x = y & y = z -> x = q +")
     assert code == 2
@@ -132,6 +139,12 @@ def test_negative_class_element(capsys):
     code, out, err = run(capsys, "eval", "x", "--classes", "U=2; x={-1}")
     assert (code, out) == (2, "")
     assert err == "error: element -1 is outside the universe\n"
+
+
+def test_huge_class_element_is_outside_the_universe(capsys):
+    code, out, err = run(capsys, "eval", "x", "--classes", "U=2; x={100000000000}")
+    assert (code, out) == (2, "")
+    assert err == "error: assignment for 'x' is not a subset of the universe\n"
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -24,6 +24,7 @@ from boole.terms import poly
 from boole.theorems import solve
 from conftest import (
     VAR_NAMES,
+    coefficients,
     WIDE_NAMES,
     oracle_constituent,
     oracle_develop_partial,
@@ -33,6 +34,7 @@ from conftest import (
     polynomials,
     random_polynomial,
     wide_polynomials,
+    zero_one_points,
 )
 
 x, y, z = variables("x, y, z")
@@ -379,6 +381,31 @@ def test_first_difference_matches_substitution(p, q, extra):
     left = oracle_develop_partial(p, names)
     right = oracle_develop_partial(q, names)
     want = next((s for s in oracle_sigmas(len(names)) if left[s] != right[s]), None)
+    assert first_difference(p, q, names) == want
+
+
+# Over more than ten names the search splits before it scans; r adds only
+# monomials of degree 6 or more, so p and p + r can first differ late.
+LONG_NAMES = tuple(f"x{i:02d}" for i in range(14))
+long_polynomials = st.dictionaries(
+    st.frozensets(st.sampled_from(LONG_NAMES), max_size=14).map(lambda s: tuple(sorted(s))),
+    coefficients,
+    max_size=6,
+).map(Polynomial)
+high_degree_polynomials = st.dictionaries(
+    st.frozensets(st.sampled_from(LONG_NAMES), min_size=6).map(lambda s: tuple(sorted(s))),
+    coefficients,
+    max_size=3,
+).map(Polynomial)
+
+
+@settings(deadline=None, max_examples=40)
+@given(long_polynomials, high_degree_polynomials, st.integers(min_value=11, max_value=14))
+def test_first_difference_splits_above_ten_names(p, r, count):
+    q = p + r
+    names = sorted(set(p.variables()) | set(q.variables()) | set(LONG_NAMES[:count]))
+    points = zip(oracle_sigmas(len(names)), zero_one_points(tuple(names)))
+    want = next((s for s, point in points if p.evaluate(point) != q.evaluate(point)), None)
     assert first_difference(p, q, names) == want
 
 

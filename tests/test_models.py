@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boole import Polynomial, variables
 from boole.models import (
@@ -19,7 +22,7 @@ from boole.models import (
 )
 from boole.polynomial import VariableLimitError
 from boole.terms import parse, term_to_poly, term_variables
-from conftest import random_term
+from conftest import coefficients, oracle_holds_in_idempotents, random_term
 
 x, y = variables("x, y")
 
@@ -51,6 +54,19 @@ def test_negative_elements_are_outside_the_universe():
         mask_of([0, -1])
     with pytest.raises(ValueError, match="element -1 is outside the universe"):
         ClassAssignment(U2, {"x": [-1]})
+
+
+def test_huge_elements_are_rejected_before_shifting():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="assignment for 'x' is not a subset"):
+            ClassAssignment(U2, {"x": [10**9]})
+        with pytest.raises(ValueError, match="subset is not contained in the universe"):
+            chi([0, 10**9], U2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_class_assignment():
@@ -263,3 +279,19 @@ def test_holds_in_idempotents_cap():
     with pytest.raises(VariableLimitError):
         holds_in_idempotents(p, U3)  # 3 * 8 = 24 > 20
     assert holds_in_idempotents(p - p, U3, max_vars=24) is True
+
+
+# Few enough names that the product loop over all (2**|U|)**n assignments
+# stays small.
+idempotent_monomials = st.frozensets(st.sampled_from(("w", "x", "y", "z")), max_size=4).map(
+    lambda s: tuple(sorted(s))
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.dictionaries(idempotent_monomials, coefficients, max_size=5).map(Polynomial),
+    st.integers(min_value=0, max_value=3).map(Universe),
+)
+def test_holds_in_idempotents_matches_product_loop(p, universe):
+    assert holds_in_idempotents(p, universe) == oracle_holds_in_idempotents(p, universe)

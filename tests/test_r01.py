@@ -2,13 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
 
+import boole.development
+import boole.polynomial
 from boole import Polynomial, variables
 from boole.models import Universe, chi, eval_multiset
 from boole.polynomial import VariableLimitError
 from boole.r01 import HornSentence, check_equation, check_r01, parse_horn
 from boole.terms import ParseError, poly, to_term
-from conftest import random_polynomial
+from conftest import horn_sentences, oracle_check_r01, random_polynomial
 
 x, y, z = variables("x, y, z")
 
@@ -169,7 +172,8 @@ def test_agreement_with_idempotents_of_the_multiset_ring():
 
 
 def test_twenty_variables_complete():
-    # the documented worst case: one sweep over 2**20 assignments
+    # x00 = 0 leaves the zero polynomial, so the search drops that half at
+    # once and finds the witness in the other
     names = tuple(f"x{i:02d}" for i in range(20))
     p = Polynomial({names: 1, names[:1]: -1})
     verdict = check_equation(p)
@@ -178,3 +182,39 @@ def test_twenty_variables_complete():
     expected = {name: 0 for name in names}
     expected[names[0]] = 1
     assert dict(verdict.witness) == expected
+
+
+# ----------------------------------------------------------------------
+# The search against the exhaustive sweep
+
+TWENTY = tuple(f"x{i:02d}" for i in range(20))
+DEMO = "*".join(TWENTY) + " = 1 -> " + " + ".join(TWENTY) + " = 20"
+# Nothing can be dropped above the scanning size: the antecedent is a
+# nonzero constant only once every variable is fixed, and the consequent
+# is a square that never vanishes on a whole subcube.
+SQUARED = " + ".join(TWENTY) + " = 10 -> (" + " + ".join(TWENTY) + " - 10)^2 = 0"
+
+
+@settings(deadline=None, max_examples=100)
+@given(horn_sentences())
+@example(parse_horn(DEMO))
+def test_check_r01_matches_sweep(sentence):
+    verdict, want = check_r01(sentence), oracle_check_r01(sentence)
+    assert verdict == want
+    if not verdict.holds:
+        assert list(verdict.witness) == list(want.witness)
+
+
+def test_search_scans_at_most_ten_names(monkeypatch):
+    scanned = []
+    original = boole.polynomial.point_values
+
+    def spy(p, names):
+        scanned.append(len(names))
+        return original(p, names)
+
+    monkeypatch.setattr(boole.polynomial, "point_values", spy)
+    monkeypatch.setattr(boole.development, "point_values", spy)
+    assert check_r01(parse_horn(DEMO)).holds
+    assert check_r01(parse_horn(SQUARED)).holds
+    assert scanned and max(scanned) == 10

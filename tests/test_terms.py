@@ -75,6 +75,12 @@ def test_whitespace_is_insignificant():
         ("x * * y", 4),
         ("x $ y", 2),
         ("x @", 2),
+        # numbers and names are ASCII only
+        ("²", 0),
+        ("x²", 1),
+        ("x + ٣", 4),
+        ("é", 0),
+        ("x + yé", 5),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
