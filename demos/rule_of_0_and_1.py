@@ -44,10 +44,11 @@ names = tuple(f"x{i:02d}" for i in range(20))
 total = " + ".join(names)
 print()
 print("A subcube is skipped when the consequent is the zero polynomial on it")
-print("or an antecedent is a nonzero constant there, so this 20-variable")
-print("quasi-equation is decided at once:")
+print("or an antecedent is a nonzero constant there, and one with at most 17")
+print("free variables is scanned whole, so this 20-variable quasi-equation")
+print("takes three splits and one scan:")
 timed("20-variable demo", "*".join(names) + " = 1 -> " + total + " = 20")
-print("Here neither rule fires until ten variables are left: the antecedent")
-print("is constant only at single points and the square never vanishes on a")
-print("subcube, so all 2**10 subcubes of 1024 points are scanned:")
+print("Here neither rule fires: the antecedent is constant only at single")
+print("points and the square never vanishes on a subcube, so all 2**3")
+print("subcubes of 2**17 points are scanned:")
 timed("20-variable worst case", f"{total} = 10 -> ({total} - 10)^2 = 0")

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product
+from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,6 +32,7 @@ from .polynomial import (
     Monomial,
     Polynomial,
     _require_name,
+    _transform,
     check_variable_limit,
     from_point_values,
     point_polynomials,
@@ -200,6 +202,15 @@ def first_difference(
     return None if found is None else found[0]
 
 
+# The search prunes only subcubes of more than _SCAN_NAMES free variables
+# and scans smaller ones in pieces of 2**_PIECE_NAMES points, evaluating
+# every polynomial on every piece: pruning smaller subcubes, or sharing
+# value vectors between pieces, would make a sentence's cost depend on
+# where its variables fall in name order, not just on n and the witness.
+_SCAN_NAMES = 17
+_PIECE_NAMES = 10
+
+
 def least_point(
     consequent: Polynomial,
     antecedents: Sequence[Polynomial],
@@ -210,24 +221,55 @@ def least_point(
     consequent's value there; None if there is none.  Branch and prune, 0
     before 1, on an explicit stack: a subcube is dropped when the
     consequent is the zero polynomial on it or an antecedent a nonzero
-    constant.  At worst, 2**(n-10) subcubes of 1024 points are scanned."""
+    constant.  Once at most 17 variables are free, the subcube is scanned
+    in order: at worst 2**(n-17) scans of 131072 points."""
     stack = [("", (consequent, *antecedents))]
     while stack:
-        prefix, (p, *conditions) = stack.pop()
+        prefix, polynomials = stack.pop()
+        p, *conditions = polynomials
         if not p or any(a and a.is_constant() for a in conditions):
             continue
         rest = names[len(prefix) :]
-        if len(rest) > 10:  # subcubes of at most 1024 points are scanned
-            split = [point_polynomials(q, rest[:1]) for q in (p, *conditions)]
+        if len(rest) > _SCAN_NAMES:
+            split = [point_polynomials(q, rest[:1]) for q in polynomials]
             stack += [(prefix + str(bit), [entries[bit] for entries in split]) for bit in (1, 0)]
             continue
-        values = point_values(p, rest)[()]
-        for a in filter(None, conditions):
-            values = [0 if blocked else v for v, blocked in zip(values, point_values(a, rest)[()])]
+        found = _scan(polynomials, rest)
+        if found is not None:
+            return prefix + found[0], found[1]
+    return None
+
+
+def _scan(polynomials: Sequence[Polynomial], names: Sequence[str]) -> tuple[str, int] | None:
+    # The least sigma over `names` where every polynomial after the first
+    # is 0 and the first is not, and the first's value there.  A piece fixes
+    # the names before the last _PIECE_NAMES; a polynomial's values on it
+    # are the transform of the coefficients of the monomials it sets to 1.
+    cut = max(0, len(names) - _PIECE_NAMES)
+    size = 1 << (len(names) - cut)
+    bits = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
+    parts = [defaultdict(list) for _ in polynomials]  # fixed bits -> [(free bits, coefficient)]
+    for part, q in zip(parts, polynomials):
+        for mono, coeff in q.terms.items():
+            mask = sum(map(bits.__getitem__, mono))  # a monomial's names are distinct
+            part[mask // size].append((mask % size, coeff))
+    for piece in range(1 << cut):
+        vectors = []
+        for part in parts:
+            vector = [0] * size
+            for head, terms in part.items():
+                if head & piece == head:
+                    for tail, coeff in terms:
+                        vector[tail] += coeff
+            _transform(vector, add)
+            vectors.append(vector)
+        values, *conditions = vectors
+        for blocked in conditions:
+            values = [0 if b else v for v, b in zip(values, blocked)]
         for index, value in enumerate(values):
             if value:
-                bits = "".join(str(index >> i & 1) for i in reversed(range(len(rest))))
-                return prefix + bits, value
+                index += piece * size
+                return "".join(str(index >> i & 1) for i in reversed(range(len(names)))), value
     return None
 
 

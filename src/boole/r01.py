@@ -9,7 +9,8 @@ Only universally quantified implications between equations are accepted
 (equations and quasi-equations); disjunctive or existential Horn forms
 are out of scope here.  The checker is the branch-and-prune search
 ``development.least_point``: an equation takes at most one split per
-variable; a quasi-equation at worst 2**(n-10) scans of 1024 points.
+variable beyond 17 and one scan; a quasi-equation at worst 2**(n-17)
+scans of 131072 points.
 """
 
 from __future__ import annotations

@@ -459,8 +459,9 @@ terms = st.recursive(
     max_leaves=12,
 )
 
-# Horn sentences over up to 14 variables, so that the search splits above
-# its scanning size of 10 names.  Antecedents may hold on many points
+# Horn sentences over up to 14 variables, so that a scan takes more than
+# one piece of 10 names, and the search splits when its scan size is
+# lowered to 8 names.  Antecedents may hold on many points
 # (x - y, x*y - z, x + y - 1, a sum of every variable minus a constant);
 # consequents vanish wherever the antecedents do, plus an optional
 # remainder, possibly one monomial of high degree, that makes them fail.

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boole.development
 from boole import ONE, ZERO, Polynomial, variables
 from boole.development import (
     DevelopmentTable,
@@ -384,7 +386,8 @@ def test_first_difference_matches_substitution(p, q, extra):
     assert first_difference(p, q, names) == want
 
 
-# Over more than ten names the search splits before it scans; r adds only
+# Over 11-14 names a scan takes several pieces, and with the scan size
+# lowered to 8 names the search splits before it scans; r adds only
 # monomials of degree 6 or more, so p and p + r can first differ late.
 LONG_NAMES = tuple(f"x{i:02d}" for i in range(14))
 long_polynomials = st.dictionaries(
@@ -401,12 +404,14 @@ high_degree_polynomials = st.dictionaries(
 
 @settings(deadline=None, max_examples=40)
 @given(long_polynomials, high_degree_polynomials, st.integers(min_value=11, max_value=14))
-def test_first_difference_splits_above_ten_names(p, r, count):
+def test_first_difference_splits_above_the_scan_size(p, r, count):
     q = p + r
     names = sorted(set(p.variables()) | set(q.variables()) | set(LONG_NAMES[:count]))
     points = zip(oracle_sigmas(len(names)), zero_one_points(tuple(names)))
     want = next((s for s, point in points if p.evaluate(point) != q.evaluate(point)), None)
     assert first_difference(p, q, names) == want
+    with mock.patch.object(boole.development, "_SCAN_NAMES", 8):
+        assert first_difference(p, q, names) == want
 
 
 @oracle_settings

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,7 +200,10 @@ SQUARED = " + ".join(TWENTY) + " = 10 -> (" + " + ".join(TWENTY) + " - 10)^2 = 0
 @given(horn_sentences())
 @example(parse_horn(DEMO))
 def test_check_r01_matches_sweep(sentence):
-    verdict, want = check_r01(sentence), oracle_check_r01(sentence)
+    want = oracle_check_r01(sentence)
+    verdict = check_r01(sentence)
+    with mock.patch.object(boole.development, "_SCAN_NAMES", 8):
+        assert check_r01(sentence) == verdict
     assert verdict == want
     if not verdict.holds:
         assert list(verdict.witness) == list(want.witness)
@@ -207,14 +211,35 @@ def test_check_r01_matches_sweep(sentence):
 
 def test_search_scans_at_most_ten_names(monkeypatch):
     scanned = []
-    original = boole.polynomial.point_values
+    original = boole.polynomial._transform
 
-    def spy(p, names):
-        scanned.append(len(names))
-        return original(p, names)
+    def spy(vector, op):
+        scanned.append(len(vector))
+        return original(vector, op)
 
-    monkeypatch.setattr(boole.polynomial, "point_values", spy)
-    monkeypatch.setattr(boole.development, "point_values", spy)
+    monkeypatch.setattr(boole.polynomial, "_transform", spy)
+    monkeypatch.setattr(boole.development, "_transform", spy)
     assert check_r01(parse_horn(DEMO)).holds
     assert check_r01(parse_horn(SQUARED)).holds
-    assert scanned and max(scanned) == 10
+    assert scanned and max(scanned) == 2**10
+
+
+def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
+    # Nothing is pruned at 17 variables or fewer, and a scan evaluates
+    # every polynomial on every piece, so two sentences of one shape make
+    # the same transforms wherever their variables fall in name order.
+    sizes = []
+    original = boole.polynomial._transform
+
+    def spy(vector, op):
+        sizes.append(len(vector))
+        return original(vector, op)
+
+    monkeypatch.setattr(boole.development, "_transform", spy)
+    counts = []
+    for a, b in (("x00", "x01"), ("x15", "x16")):
+        sizes.clear()
+        rest = " + ".join(name for name in TWENTY[:17] if name not in (a, b))
+        assert check_r01(parse_horn(f"{a} = {b} -> {a}*({rest}) = {b}*({rest})")).holds
+        counts.append(sizes.count(2**10))
+    assert counts[0] == counts[1] == 2 * 2**7
