@@ -28,7 +28,7 @@ from .models import (
     eval_multiset,
     eval_partial,
 )
-from .polynomial import Polynomial, VariableLimitError, _require_name, is_valid_name
+from .polynomial import Polynomial, VariableLimitError, _decimal, _from_decimal, _require_name, is_valid_name
 from .r01 import check_r01, parse_horn
 from .terms import (
     NotTotallyInterpretableError,
@@ -47,14 +47,14 @@ __all__ = ["main", "poly_from_json", "poly_to_json"]
 
 def poly_to_json(p: Polynomial) -> list[dict[str, object]]:
     return [
-        {"monomial": list(mono), "coefficient": str(coeff)}
+        {"monomial": list(mono), "coefficient": _decimal(coeff)}
         for mono, coeff in p.terms.items()
     ]
 
 
 def poly_from_json(entries: list[dict[str, object]]) -> Polynomial:
     return Polynomial(
-        {tuple(e["monomial"]): int(e["coefficient"]) for e in entries}  # type: ignore[arg-type]
+        {tuple(e["monomial"]): _from_decimal(e["coefficient"]) for e in entries}  # type: ignore[arg-type]
     )
 
 
@@ -219,7 +219,7 @@ def _cmd_r01(args: argparse.Namespace) -> int:
                 {
                     "holds": False,
                     "witness": witness,
-                    "consequent_value": str(verdict.consequent_value),
+                    "consequent_value": _decimal(verdict.consequent_value),
                 },
             )
             status = 1
@@ -250,7 +250,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 1
     universe, multisets = _parse_multiset_spec(args.multisets)
     value = eval_multiset(term, multisets, universe=universe)
-    _emit(args, str(value), {"values": [str(v) for v in value.values]})
+    _emit(args, str(value), {"values": [_decimal(v) for v in value.values]})
     return 0
 
 
@@ -272,7 +272,7 @@ def _spec_parts(spec: str) -> tuple[Universe, list[tuple[str, str]]]:
     if not parts or not parts[0].replace(" ", "").startswith("U="):
         raise ValueError("assignment must start with 'U=<size>'")
     try:
-        universe = Universe(int(parts[0].split("=", 1)[1]))
+        universe = Universe(_from_decimal(parts[0].split("=", 1)[1]))
     except ValueError as error:
         raise ValueError(f"bad universe size: {error}") from None
     bindings = []
@@ -291,7 +291,7 @@ def _parse_class_spec(spec: str) -> ClassAssignment:
         if not value.startswith("{") or not value.endswith("}"):
             raise ValueError(f"expected {name}={{elements}}, got {name}={value}")
         body = value[1:-1].strip()
-        elements = [int(piece) for piece in body.split(",")] if body else []
+        elements = [_from_decimal(piece) for piece in body.split(",")] if body else []
         masks[name] = elements
     return ClassAssignment(universe, masks)  # type: ignore[arg-type]
 
@@ -303,7 +303,7 @@ def _parse_multiset_spec(spec: str) -> tuple[Universe, dict[str, Multiset]]:
         if not value.startswith("[") or not value.endswith("]"):
             raise ValueError(f"expected {name}=[values], got {name}={value}")
         body = value[1:-1].strip()
-        entries = [int(piece) for piece in body.split(",")] if body else []
+        entries = [_from_decimal(piece) for piece in body.split(",")] if body else []
         if len(entries) != universe.size:
             raise ValueError(
                 f"{name} needs {universe.size} values, got {len(entries)}"

@@ -22,12 +22,12 @@ completely.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import product
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._record import Record
 from .polynomial import (
     Monomial,
     Polynomial,
@@ -85,8 +85,7 @@ def _check_variables(variables: Iterable[str]) -> tuple[str, ...]:
     return ordered
 
 
-@dataclass(frozen=True)
-class DevelopmentTable:
+class DevelopmentTable(Record):
     """The coefficient family of a development: one Polynomial per sigma.
 
     For a complete development every coefficient is a constant; for a

@@ -16,12 +16,13 @@ of 0 and 1, ``holds_in_idempotents`` is a 0/1 search, not an enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import log2
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Union
 
+from ._record import Record
 from .development import least_point, sigma_assignment
-from .polynomial import Polynomial, check_variable_limit
+from .polynomial import MAX_POWER_BITS, Polynomial, _decimal, check_variable_limit
 from .terms import (
     Add,
     IntLit,
@@ -59,7 +60,7 @@ def mask_of(elements: Iterable[int]) -> int:
     mask = 0
     for e in elements:
         if e < 0:
-            raise ValueError(f"element {e} is outside the universe")
+            raise ValueError(f"element {_decimal(e)} is outside the universe")
         mask |= 1 << e
     return mask
 
@@ -78,15 +79,14 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """A universe of discourse {0, ..., size-1}, size at most 16."""
 
     size: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.size <= MAX_UNIVERSE:
-            raise ValueError(f"universe size must be in 0..{MAX_UNIVERSE}, got {self.size}")
+            raise ValueError(f"universe size must be in 0..{MAX_UNIVERSE}, got {_decimal(self.size)}")
 
     @property
     def mask(self) -> int:
@@ -100,8 +100,7 @@ class Universe:
         return range(1 << self.size)
 
 
-@dataclass(frozen=True)
-class ClassAssignment:
+class ClassAssignment(Record):
     """A total assignment of variables to subsets of a universe."""
 
     universe: Universe
@@ -135,15 +134,13 @@ class ClassAssignment:
 # Partial class semantics
 
 
-@dataclass(frozen=True)
-class Defined:
+class Defined(Record):
     """A defined class value, as a subset bitmask."""
 
     subset: int
 
 
-@dataclass(frozen=True)
-class Undefined:
+class Undefined(Record):
     """An uninterpretable value: the offending subterm and the side
     condition it failed, phrased for direct display."""
 
@@ -180,7 +177,7 @@ def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
 
     def literal(node: IntLit) -> PartialValue:
         if node.value > 1:
-            return Undefined(node, f"{node.value} is not a class")
+            return Undefined(node, _decimal(node.value) + " is not a class")
         return Defined(universe if node.value else 0)
 
     def union(node: Add, s: int, t: int) -> PartialValue:
@@ -219,8 +216,7 @@ def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
 # Signed multisets
 
 
-@dataclass(frozen=True)
-class Multiset:
+class Multiset(Record):
     """An integer-valued function on the universe, one value per element."""
 
     values: tuple[int, ...]
@@ -284,10 +280,12 @@ class Multiset:
     def __pow__(self, exponent: int) -> "Multiset":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
+        if any(abs(a) > 1 and exponent * log2(abs(a)) > MAX_POWER_BITS for a in self.values):
+            raise ValueError(f"power too large: its values pass {MAX_POWER_BITS} bits")
         return Multiset(tuple(a**exponent for a in self.values))
 
     def __str__(self) -> str:
-        return "[" + ", ".join(map(str, self.values)) + "]"
+        return "[" + ", ".join(map(_decimal, self.values)) + "]"
 
 
 def _coerce(value: Union["Multiset", int], size: int) -> Multiset:

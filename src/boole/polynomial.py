@@ -60,6 +60,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 # 2**n zero/one points.  Callers may override it explicitly.
 DEFAULT_VARIABLE_LIMIT = 20
 
+# A power whose coefficients pass this many bits (about 19700 digits) is
+# refused: an exponent of a few digits, or a chain like 2^99^99^99^99,
+# could otherwise take minutes and gigabytes to compute and print.
+MAX_POWER_BITS = 1 << 16
+
 
 class VariableLimitError(Exception):
     """An operation would enumerate 2**n cases beyond the configured limit."""
@@ -92,6 +97,36 @@ def check_variable_limit(count: int, limit: int | None = None) -> None:
             f"{count} variables would enumerate 2**{count} cases; the limit "
             f"is {cap} (pass a higher limit explicitly if you mean it)"
         )
+
+
+def _decimal(n: int) -> str:
+    """str(n), exact also past the interpreter's limit on the digits of
+    an int-to-str conversion (4300 by default), which stays in force."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + _decimal(-n)
+    half = n.bit_length() * 3 // 20  # about half its digits
+    high, low = divmod(n, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _from_decimal(text: str) -> int:
+    """int(text), exact also for a plain numeral past the interpreter's
+    limit on the digits of a str-to-int conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        negative = digits.startswith("-")
+        digits = digits[negative or digits.startswith("+"):]
+        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
+            raise
+    half = len(digits) // 2
+    value = _from_decimal(digits[:-half]) * 10**half + _from_decimal(digits[-half:])
+    return -value if negative else value
 
 
 def _monomial_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -272,8 +307,9 @@ class Polynomial:
         result = self if exponent & 1 else _ONE
         exponent >>= 1
         while True:
+            _check_power_bits(square)
             if exponent & 1:
-                result = result * square
+                result = _check_power_bits(result * square)
             exponent >>= 1
             if not exponent:
                 return result
@@ -332,11 +368,11 @@ class Polynomial:
         for mono, coeff in self._terms.items():
             magnitude = abs(coeff)
             if not mono:
-                body = str(magnitude)
+                body = _decimal(magnitude)
             elif magnitude == 1:
                 body = "*".join(mono)
             else:
-                body = f"{magnitude}*" + "*".join(mono)
+                body = _decimal(magnitude) + "*" + "*".join(mono)
             if not parts:
                 parts.append(f"-{body}" if coeff < 0 else body)
             else:
@@ -345,6 +381,12 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return str(self)
+
+
+def _check_power_bits(p: Polynomial) -> Polynomial:
+    if max(map(abs, p._terms.values()), default=0).bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"power too large: its coefficients pass {MAX_POWER_BITS} bits")
+    return p
 
 
 def _coerce(value: object):

@@ -15,10 +15,10 @@ scans of 131072 points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from ._record import Record
 from .development import least_point, sigma_assignment
 from .polynomial import Polynomial, check_variable_limit
 from .terms import ParseError, poly
@@ -26,8 +26,7 @@ from .terms import ParseError, poly
 __all__ = ["HornSentence", "Verdict", "check_equation", "check_r01", "parse_horn"]
 
 
-@dataclass(frozen=True)
-class HornSentence:
+class HornSentence(Record):
     """Antecedent equations and one consequent equation, each stored as a
     polynomial p meaning p = 0, implicitly universally quantified."""
 
@@ -45,8 +44,7 @@ class HornSentence:
         return tuple(sorted(names))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Holds, or fails with the least 0/1 witness.
 
     A witness satisfies every antecedent (their values are recorded, all

@@ -17,21 +17,22 @@ operators associate to the left.  Parse errors carry byte offsets.
 
 Compiling, printing, translating to sets, evaluating and collecting
 variables are all folds over the tree, and all run on the one iterative
-fold below; the parser is a loop with an explicit stack.  Every traversal
-is iterative, with no depth limit: a term may be as long and as deeply
+fold below; the parser is a loop with an explicit stack, and nodes
+compare, hash and print with stacks of their own.  Every traversal is
+iterative, with no depth limit: a term may be as long and as deeply
 nested as memory allows.
 """
 
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import attrgetter, or_
 from typing import Callable, Mapping
 
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _dense_pays, _require_name
+from ._record import Record, _set
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _decimal, _dense_pays, _from_decimal, _require_name
 
 __all__ = [
     "Add",
@@ -66,7 +67,80 @@ __all__ = [
 ]
 
 
-class Term:
+class _Node(Record):
+    """Term and set-expression nodes.  ``==``, ``hash`` and ``repr`` walk
+    the tree with their own stacks, so its depth costs no Python frames."""
+
+    __slots__ = ()
+
+    def _flat(self) -> tuple:
+        # The nodes in postorder, each as its class and the fields that
+        # are not subtrees: all of a tree, as a class fixes how many
+        # subtrees its nodes have.
+        flat = []
+        for node in _postorder(self):
+            kind = node.__class__
+            if isinstance(node, _Node):
+                subtrees = 2 if kind in _BINARY else 1 if kind in _UNARY else 0
+                node = (kind, *node._values()[subtrees:])
+            flat.append(node)
+        return tuple(flat)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._flat() == other._flat()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._flat())
+
+    def __repr__(self) -> str:
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                pieces.append(item)
+                continue
+            pieces.append(f"{item.__class__.__qualname__}(")
+            todo = []
+            for name in item._fields:
+                value = getattr(item, name)
+                todo.append(f", {name}=" if todo else f"{name}=")
+                todo.append(value if isinstance(value, _Node) else repr(value))
+            todo.append(")")
+            stack += reversed(todo)
+        return "".join(pieces)
+
+
+# Constructors for the shapes built in bulk.
+
+
+class _Nullary(_Node):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        pass
+
+
+class _Unary(_Node):
+    __slots__ = ("operand",)
+    operand: _Node
+
+    def __init__(self, operand: _Node) -> None:
+        _set(self, "operand", operand)
+
+
+class _Binary(_Node):
+    __slots__ = ("left", "right")
+    left: _Node
+    right: _Node
+
+    def __init__(self, left: _Node, right: _Node) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+
+class Term(_Node):
     """Base class of term AST nodes.  Nodes are immutable and comparable."""
 
     __slots__ = ()
@@ -75,69 +149,63 @@ class Term:
         return format_term(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
+    __slots__ = ("name",)
     name: str
 
-    def __post_init__(self) -> None:
-        _require_name(self.name)
+    def __init__(self, name: str) -> None:
+        _set(self, "name", _require_name(name))
 
 
-@dataclass(frozen=True, slots=True)
-class Zero(Term):
-    pass
+class Zero(_Nullary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class One(Term):
-    pass
+class One(_Nullary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IntLit(Term):
     """A nonnegative integer literal; negatives arise only via Neg/Sub."""
 
+    __slots__ = ("value",)
     value: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int) or self.value < 0:
-            raise ValueError(f"integer literal must be >= 0, got {self.value!r}")
+    def __init__(self, value: int) -> None:
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"integer literal must be >= 0, got {value!r}")
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
-class Add(Term):
-    left: Term
-    right: Term
+class Add(_Binary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sub(Term):
-    left: Term
-    right: Term
+class Sub(_Binary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Mul(_Binary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg(Term):
-    operand: Term
+class Neg(_Unary, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(Term):
+    __slots__ = ("base", "exponent")
     base: Term
     exponent: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
+    def __init__(self, base: Term, exponent: int) -> None:
+        if not isinstance(exponent, int) or exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {exponent!r}")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-class SetExpr:
+class SetExpr(_Node):
     """Base class of set-expression nodes over a universe."""
 
     __slots__ = ()
@@ -146,36 +214,32 @@ class SetExpr:
         return format_set_expression(self)
 
 
-@dataclass(frozen=True, slots=True)
 class SetVar(SetExpr):
+    __slots__ = ("name",)
     name: str
 
-
-@dataclass(frozen=True, slots=True)
-class SetUniverse(SetExpr):
-    pass
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class SetEmpty(SetExpr):
-    pass
+class SetUniverse(_Nullary, SetExpr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SetUnion(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class SetEmpty(_Nullary, SetExpr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SetIntersection(SetExpr):
-    left: SetExpr
-    right: SetExpr
+class SetUnion(_Binary, SetExpr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class SetComplement(SetExpr):
-    operand: SetExpr
+class SetIntersection(_Binary, SetExpr):
+    __slots__ = ()
+
+
+class SetComplement(_Unary, SetExpr):
+    __slots__ = ()
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +324,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = i
             while i < n and text[i] in string.digits:
                 i += 1
-            tokens.append(("INT", int(text[start:i]), start))
+            tokens.append(("INT", _from_decimal(text[start:i]), start))
         elif ch in string.ascii_letters:
             start = i
             while i < n and text[i] in _NAME_CHARACTERS:
@@ -362,7 +426,7 @@ def _format_visits(plus: str, minus: str) -> dict[type, Callable]:
         Var: lambda node: node.name,
         Zero: lambda node: "0",
         One: lambda node: "1",
-        IntLit: lambda node: str(node.value),
+        IntLit: lambda node: _decimal(node.value),
         # A left operand needs no parentheses, as nothing binds weaker than
         # a unary minus and one is legal on the left spine: -x + y
         Add: lambda node, s, t: s + plus + _wrap(node.right, t, _MUL),
@@ -537,7 +601,7 @@ class NotTotallyInterpretableError(Exception):
 
 def _set_literal(node: IntLit) -> tuple[SetExpr, Callable]:
     if node.value > 1:
-        raise NotTotallyInterpretableError(node, f"{node.value} is not a class")
+        raise NotTotallyInterpretableError(node, _decimal(node.value) + " is not a class")
     return (SetUniverse(), lambda: ONE) if node.value else (SetEmpty(), lambda: ZERO)
 
 

@@ -16,10 +16,10 @@ the equation p = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce as _fold
 from typing import Iterable
 
+from ._record import Record
 from .development import develop_partial, interpretable_core
 from .polynomial import ONE, ZERO, Polynomial
 
@@ -57,8 +57,7 @@ def eliminate(
     return _fold(lambda acc, item: acc * item[1], table.items(), ONE)
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Record):
     """The solution of p = 0 for one unknown.
 
     ``condition`` constrains the parameters (it is exactly the result of

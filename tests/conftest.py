@@ -8,14 +8,17 @@ never trust the code paths they are checking.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial
-from boole.development import DevelopmentTable
-from boole.models import ClassAssignment, Defined, Multiset, Undefined, Universe
-from boole.polynomial import _pairwise_product
+from boole.development import DevelopmentTable, _check_variables, sigma_strings
+from boole.models import MAX_UNIVERSE, ClassAssignment, Defined, Multiset, Undefined, Universe, _subset_mask
+from boole.polynomial import _pairwise_product, _require_name
 from boole.r01 import HornSentence, Verdict
 from boole.terms import (
     Add,
@@ -420,6 +423,213 @@ def oracle_term_variables(term: Term) -> tuple[str, ...]:
     if isinstance(term, Pow):
         return oracle_term_variables(term.base)
     return ()
+
+
+# The 24 records as the frozen dataclasses they were, fields and
+# validation only, kept as the reference for boole._record: the same
+# construction, errors, ==, hash and repr (but for the "oracle_" prefix).
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Var:
+    name: str
+
+    def __post_init__(self) -> None:
+        _require_name(self.name)
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Zero:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_One:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_IntLit:
+    value: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.value, int) or self.value < 0:
+            raise ValueError(f"integer literal must be >= 0, got {self.value!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Add:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Sub:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Mul:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Neg:
+    operand: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_Pow:
+    base: object
+    exponent: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.exponent, int) or self.exponent < 1:
+            raise ValueError(f"exponent must be >= 1, got {self.exponent!r}")
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetVar:
+    name: str
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetUniverse:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetEmpty:
+    pass
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetUnion:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetIntersection:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True, slots=True)
+class oracle_SetComplement:
+    operand: object
+
+
+@dataclass(frozen=True)
+class oracle_Universe:
+    size: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.size <= MAX_UNIVERSE:
+            raise ValueError(f"universe size must be in 0..{MAX_UNIVERSE}, got {self.size}")
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.size) - 1
+
+
+@dataclass(frozen=True)
+class oracle_ClassAssignment:
+    universe: oracle_Universe
+    masks: Mapping[str, int]
+
+    def __post_init__(self) -> None:
+        clean: dict[str, int] = {}
+        for name in sorted(self.masks):
+            problem = f"assignment for {name!r} is not a subset of the universe"
+            clean[name] = _subset_mask(self.masks[name], self.universe, problem)
+        object.__setattr__(self, "masks", MappingProxyType(clean))
+
+
+@dataclass(frozen=True)
+class oracle_Defined:
+    subset: int
+
+
+@dataclass(frozen=True)
+class oracle_Undefined:
+    term: object
+    reason: str
+
+
+@dataclass(frozen=True)
+class oracle_Multiset:
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+
+
+@dataclass(frozen=True)
+class oracle_HornSentence:
+    antecedents: tuple[Polynomial, ...]
+    consequent: Polynomial
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "antecedents", tuple(self.antecedents))
+
+
+@dataclass(frozen=True)
+class oracle_Verdict:
+    holds: bool
+    witness: Mapping[str, int] | None = None
+    antecedent_values: tuple[int, ...] | None = None
+    consequent_value: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.witness is not None:
+            object.__setattr__(self, "witness", MappingProxyType(dict(self.witness)))
+
+
+@dataclass(frozen=True)
+class oracle_DevelopmentTable:
+    variables: tuple[str, ...]
+    coefficients: Mapping[str, Polynomial]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variables", _check_variables(self.variables))
+        try:
+            ordered = {
+                sigma: self.coefficients[sigma]
+                for sigma in sigma_strings(len(self.variables))
+            }
+        except KeyError as missing:
+            raise ValueError(f"table is missing an entry for sigma {missing}") from None
+        if len(ordered) != len(self.coefficients):
+            raise ValueError("table must have exactly one entry per sigma")
+        object.__setattr__(self, "coefficients", MappingProxyType(ordered))
+
+
+@dataclass(frozen=True)
+class oracle_Solution:
+    unknown: str
+    condition: Polynomial
+    particular: Polynomial
+    freedom: Polynomial
+    parameter: str
+    vacuous: bool = False
+
+
+ORACLE_RECORDS = {
+    name.removeprefix("oracle_"): value
+    for name, value in list(globals().items())
+    if name.startswith("oracle_") and isinstance(value, type)
+}
+
+
+def oracle_record(value):
+    """The oracle copy of a record, and of the records in its fields."""
+    oracle = ORACLE_RECORDS.get(type(value).__name__)
+    if oracle is None:
+        return value
+    return oracle(*(oracle_record(getattr(value, name)) for name in value._fields))
 
 
 # ----------------------------------------------------------------------

@@ -308,6 +308,55 @@ def test_json_eval(capsys):
 
 
 # ----------------------------------------------------------------------
+# Integers past the interpreter's 4300-digit limit on int/str conversion
+
+
+def unlimited_str(n: int) -> str:
+    """The reference rendering: str with the digit limit lifted for the
+    call only, so the code under test runs with the limit in force."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_huge_coefficients_print_exactly(capsys):
+    assert sys.get_int_max_str_digits() == 4300
+    expected = unlimited_str(3**10000)
+    assert len(expected) > 4300
+    assert run(capsys, "normalize", "3^10000") == (0, expected + "\n", "")
+    code, out, err = run(capsys, "normalize", "--format", "json", "3^10000 - x")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)["polynomial"]
+    assert payload == [
+        {"monomial": [], "coefficient": expected},
+        {"monomial": ["x"], "coefficient": "-1"},
+    ]
+    assert poly_from_json(payload) == poly("3^10000 - x")
+    assert poly_from_json([{"monomial": [], "coefficient": "-" + expected}]).terms == {(): -(3**10000)}
+    code, out, _ = run(capsys, "eval", "x^99^99", "--multisets", "U=2; x=[3,1]", "--format", "json")
+    assert (code, json.loads(out)) == (0, {"values": [unlimited_str(3 ** (99 * 99)), "1"]})
+
+
+def test_huge_numerals_parse_exactly(capsys):
+    numeral = "1" * 5000
+    assert poly(numeral).terms == {(): (10**5000 - 1) // 9}
+    assert run(capsys, "normalize", f"{numeral} - 1") == (0, "1" * 4999 + "0\n", "")
+    assert run(capsys, "normalize", "10^5000 + 1") == (0, "1" + "0" * 4999 + "1\n", "")
+    assert run(capsys, "eval", "x", "--multisets", f"U=1; x=[-{numeral}]") == (0, f"[-{numeral}]\n", "")
+    assert run(capsys, "eval", "x", "--classes", f"U=1; x={{-{numeral}}}") == (
+        2, "", f"error: element -{numeral} is outside the universe\n"
+    )
+    assert run(capsys, "eval", "x", "--classes", f"U={numeral}; x={{0}}") == (
+        2, "", f"error: bad universe size: universe size must be in 0..16, got {numeral}\n"
+    )
+    code, out, err = run(capsys, "normalize", numeral + "x")
+    assert (code, out) == (2, "") and err.startswith("error: unexpected trailing input at offset 5000")
+
+
+# ----------------------------------------------------------------------
 # The installed entry points
 
 

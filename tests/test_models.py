@@ -20,7 +20,7 @@ from boole.models import (
     holds_in_idempotents,
     mask_of,
 )
-from boole.polynomial import VariableLimitError
+from boole.polynomial import MAX_POWER_BITS, VariableLimitError
 from boole.terms import parse, term_to_poly, term_variables
 from conftest import coefficients, oracle_holds_in_idempotents, random_term
 
@@ -167,6 +167,10 @@ def test_multiset_arithmetic():
     assert -a == Multiset((-1, 0))
     assert a * b == Multiset((1, 0))
     assert Multiset((2, -1)) ** 3 == Multiset((8, -1))
+    assert Multiset((-1, 0, 1)) ** (10**12) == Multiset((1, 0, 1))
+    assert Multiset((2,)) ** MAX_POWER_BITS == Multiset((2**MAX_POWER_BITS,))
+    with pytest.raises(ValueError, match=f"power too large: its values pass {MAX_POWER_BITS} bits"):
+        Multiset((1, -2)) ** (MAX_POWER_BITS + 1)
     assert 1 - a == Multiset((0, 1))
     assert 3 * a == Multiset((3, 0))
     with pytest.raises(ValueError):

@@ -114,6 +114,35 @@ def test_huge_power_of_an_idempotent_returns_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_powers_past_the_size_bound_are_refused_at_once():
+    start = time.perf_counter()
+    bound = boole.polynomial.MAX_POWER_BITS
+    assert max(map(abs, ((x + y) ** 40000).terms.values())).bit_length() < bound
+    for text in ("(x+y)^99^99^99^99", "2^99^99^99^99", f"2^{bound}", "(2 - x)^99^99^99"):
+        with pytest.raises(ValueError, match=f"power too large: its coefficients pass {bound} bits"):
+            poly(text)
+    # Values at 0/1 points of 0 and -1 keep the coefficients small.
+    assert (x - y) ** 10_000_001 == x - y
+    assert (x - 1) ** 10_000_000 == 1 - x
+    assert poly(f"2^{bound - 1}").constant_value() == 2 ** (bound - 1)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_power_squares_nothing_past_the_size_bound(monkeypatch):
+    bound = boole.polynomial.MAX_POWER_BITS
+    multiply = Polynomial.__mul__
+
+    def bounded(p, q):
+        for operand in (p, q):
+            assert max(map(abs, operand.terms.values()), default=0).bit_length() <= bound
+        return multiply(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", bounded)
+    for exponent in (2**24, 2**24 + 1):
+        with pytest.raises(ValueError, match="power too large"):
+            poly(f"(x + y)^{exponent}")
+
+
 @given(polynomials, st.integers(min_value=0, max_value=9))
 def test_power_is_repeated_product(p, k):
     assert p**k == reduce(mul, [p] * k, ONE)
