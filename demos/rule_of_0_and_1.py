@@ -4,7 +4,8 @@ Equations and quasi-equations valid for integers restricted to {0, 1}
 are exactly the ones valid in the algebra of classes, so trying every
 0/1 point is a full decision procedure.  The checker tries them as a
 branch-and-prune search and skips every subcube on which the answer is
-already known.
+already known; an equation needs no trying at all, only one walk down
+its variables.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 
@@ -37,16 +38,25 @@ def timed(label, text):
     start = time.perf_counter()
     verdict = check_r01(parse_horn(text))
     elapsed = time.perf_counter() - start
-    print(f"  {label}: holds={verdict.holds} in {elapsed:.2f}s")
+    print(f"  {label}: holds={verdict.holds} in {elapsed * 1000:.1f} ms")
 
 
 names = tuple(f"x{i:02d}" for i in range(20))
 total = " + ".join(names)
 print()
-print("A subcube is skipped when the consequent is the zero polynomial on it")
-print("or an antecedent is a nonzero constant there, and one with at most 17")
-print("free variables is scanned whole, so this 20-variable quasi-equation")
-print("takes three splits and one scan:")
+print("An equation needs no scan.  A multilinear polynomial is zero exactly")
+print("when it vanishes at every 0/1 point, so each variable in turn is set")
+print("to 0 if the polynomial stays nonzero there and to 1 otherwise.  This")
+print("equation fails only at the last of 2**20 points:")
+timed("20-variable equation", "*".join(names) + " = 0")
+print("A quasi-equation is scanned.  A subcube is skipped when the consequent")
+print("is the zero polynomial on it or an antecedent is a nonzero constant")
+print("there.  One with at most 17 free variables is scanned whole, the")
+print("sentence folded into one polynomial (2B+1)*(sum of the antecedents'")
+print("squares) + consequent, for B the sum of the consequent's coefficients")
+print("in absolute value: it is nonzero and at most B in size exactly at a")
+print("witness.  So this 20-variable quasi-equation takes three splits and")
+print("one scan:")
 timed("20-variable demo", "*".join(names) + " = 1 -> " + total + " = 20")
 print("Here neither rule fires: the antecedent is constant only at single")
 print("points and the square never vanishes on a subcube, so all 2**3")

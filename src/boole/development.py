@@ -32,6 +32,7 @@ from .polynomial import (
     Monomial,
     Polynomial,
     _require_name,
+    _restrict,
     _transform,
     check_variable_limit,
     from_point_values,
@@ -203,9 +204,9 @@ def first_difference(
 
 # The search prunes only subcubes of more than _SCAN_NAMES free variables
 # and scans smaller ones in pieces of 2**_PIECE_NAMES points, evaluating
-# every polynomial on every piece: pruning smaller subcubes, or sharing
-# value vectors between pieces, would make a sentence's cost depend on
-# where its variables fall in name order, not just on n and the witness.
+# the sentence on every piece: pruning smaller subcubes, or sharing value
+# vectors between pieces, would make a sentence's cost depend on where its
+# variables fall in name order, not just on n and the witness.
 _SCAN_NAMES = 17
 _PIECE_NAMES = 10
 
@@ -217,58 +218,79 @@ def least_point(
 ) -> tuple[str, int] | None:
     """The least sigma over `names` (ascending, covering every polynomial)
     where every antecedent is 0 and the consequent is not, and the
-    consequent's value there; None if there is none.  Branch and prune, 0
-    before 1, on an explicit stack: a subcube is dropped when the
-    consequent is the zero polynomial on it or an antecedent a nonzero
-    constant.  Once at most 17 variables are free, the subcube is scanned
-    in order: at worst 2**(n-17) scans of 131072 points."""
-    stack = [("", (consequent, *antecedents))]
+    consequent's value there; None if there is none.
+
+    Branch and prune, 0 before 1, on an explicit stack: a subcube is
+    dropped when the consequent is the zero polynomial on it or an
+    antecedent a nonzero constant, and an antecedent that is the zero
+    polynomial holds on the whole subcube and is dropped itself.  With no
+    antecedent left the answer is a walk: a multilinear polynomial is zero
+    exactly when it vanishes at every 0/1 point, so each name is fixed to
+    0 if the consequent stays nonzero there and to 1 otherwise, n
+    restrictions in all.  Otherwise, once at most 17 variables are free,
+    the subcube is scanned in order, the sentence folded into one
+    polynomial: at worst 2**(n-17) scans of 131072 points."""
+    stack = [("", consequent, antecedents)]
     while stack:
-        prefix, polynomials = stack.pop()
-        p, *conditions = polynomials
-        if not p or any(a and a.is_constant() for a in conditions):
+        prefix, p, conditions = stack.pop()
+        conditions = [a for a in conditions if a]
+        if not p or any(a.is_constant() for a in conditions):
             continue
         rest = names[len(prefix) :]
+        if not conditions:
+            return _walk(p, rest, prefix)
         if len(rest) > _SCAN_NAMES:
-            split = [point_polynomials(q, rest[:1]) for q in polynomials]
-            stack += [(prefix + str(bit), [entries[bit] for entries in split]) for bit in (1, 0)]
+            for bit in (1, 0):
+                at = [_restrict(q, rest[0], bit) for q in (p, *conditions)]
+                stack.append((prefix + str(bit), at[0], at[1:]))
             continue
-        found = _scan(polynomials, rest)
+        found = _scan(p, conditions, rest)
         if found is not None:
             return prefix + found[0], found[1]
     return None
 
 
-def _scan(polynomials: Sequence[Polynomial], names: Sequence[str]) -> tuple[str, int] | None:
-    # The least sigma over `names` where every polynomial after the first
-    # is 0 and the first is not, and the first's value there.  A piece fixes
-    # the names before the last _PIECE_NAMES; a polynomial's values on it
+def _walk(p: Polynomial, names: Sequence[str], sigma: str) -> tuple[str, int]:
+    # The least point over `names` where p, a nonzero polynomial, is not 0,
+    # after the bits already in `sigma`, and p's value there.
+    for name in names:
+        low = _restrict(p, name, 0)
+        sigma += "0" if low else "1"
+        p = low or _restrict(p, name, 1)
+    return sigma, p.constant_value()
+
+
+def _scan(
+    consequent: Polynomial, antecedents: Sequence[Polynomial], names: Sequence[str]
+) -> tuple[str, int] | None:
+    # The least sigma over `names` where every antecedent is 0 and the
+    # consequent c is not, and c's value there, found as the least point
+    # where P = (2B+1)*(sum of the antecedents' squares) + c has
+    # 0 < |P| <= B, for B the sum of |c|'s coefficients: P is c, so |P| <= B,
+    # where the antecedents all vanish, and |P| >= 2B+1 - B elsewhere.  A
+    # piece fixes the names before the last _PIECE_NAMES; P's values on it
     # are the transform of the coefficients of the monomials it sets to 1.
+    bound = sum(map(abs, consequent.terms.values()))
+    squares = sum((a * a for a in antecedents), Polynomial.zero())
+    folded = (2 * bound + 1) * squares + consequent
     cut = max(0, len(names) - _PIECE_NAMES)
     size = 1 << (len(names) - cut)
     bits = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
-    parts = [defaultdict(list) for _ in polynomials]  # fixed bits -> [(free bits, coefficient)]
-    for part, q in zip(parts, polynomials):
-        for mono, coeff in q.terms.items():
-            mask = sum(map(bits.__getitem__, mono))  # a monomial's names are distinct
-            part[mask // size].append((mask % size, coeff))
+    part = defaultdict(list)  # fixed bits -> [(free bits, coefficient)]
+    for mono, coeff in folded.terms.items():
+        mask = sum(map(bits.__getitem__, mono))  # a monomial's names are distinct
+        part[mask // size].append((mask % size, coeff))
     for piece in range(1 << cut):
-        vectors = []
-        for part in parts:
-            vector = [0] * size
-            for head, terms in part.items():
-                if head & piece == head:
-                    for tail, coeff in terms:
-                        vector[tail] += coeff
-            _transform(vector, add)
-            vectors.append(vector)
-        values, *conditions = vectors
-        for blocked in conditions:
-            values = [0 if b else v for v, b in zip(values, blocked)]
-        for index, value in enumerate(values):
-            if value:
-                index += piece * size
-                return "".join(str(index >> i & 1) for i in reversed(range(len(names)))), value
+        values = [0] * size
+        for head, terms in part.items():
+            if head & piece == head:
+                for tail, coeff in terms:
+                    values[tail] += coeff
+        _transform(values, add)
+        if min(map(abs, filter(None, values)), default=bound + 1) <= bound:
+            index, value = next((i, v) for i, v in enumerate(values) if 0 < abs(v) <= bound)
+            index += piece * size
+            return "".join(str(index >> i & 1) for i in reversed(range(len(names)))), value
     return None
 
 

@@ -508,6 +508,22 @@ def point_polynomials(p: Polynomial, names: Sequence[str]) -> list[Polynomial]:
     return points
 
 
+def _restrict(q: Polynomial, name: str, bit: int) -> Polynomial:
+    # q with `name` set to `bit`: the terms without `name`, in their own
+    # order, and at 1 also the terms with it, `name` struck out.
+    kept = {mono: coeff for mono, coeff in q._terms.items() if name not in mono}
+    if not bit:
+        at_zero = object.__new__(Polynomial)
+        at_zero._terms = kept
+        return at_zero
+    for mono, coeff in q._terms.items():
+        if name in mono:
+            cut = mono.index(name)
+            rest = mono[:cut] + mono[cut + 1 :]
+            kept[rest] = kept.get(rest, 0) + coeff
+    return Polynomial._raw(kept)
+
+
 def from_point_values(groups: Mapping[Monomial, list[int]], names: Sequence[str]) -> Polynomial:
     """Inverse of point_values: the polynomial whose values at the 0/1
     points of `names` are the given vectors, one per residual monomial

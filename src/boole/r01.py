@@ -8,8 +8,11 @@ consequent must be too.  Equations are the antecedent-free case.
 Only universally quantified implications between equations are accepted
 (equations and quasi-equations); disjunctive or existential Horn forms
 are out of scope here.  The checker is the branch-and-prune search
-``development.least_point``: an equation takes at most one split per
-variable beyond 17 and one scan; a quasi-equation at worst 2**(n-17)
+``development.least_point``.  An equation is decided by a walk of n
+restrictions, one per variable, and no scan.  A quasi-equation is folded
+into one polynomial per scanned subcube: Boole's reduction of the
+antecedents to the sum of their squares, scaled past every value the
+consequent can take, plus the consequent.  It costs at worst 2**(n-17)
 scans of 131072 points.
 """
 

@@ -8,6 +8,7 @@ parse error.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -258,6 +259,15 @@ def test_json_equal(capsys):
     code, out, _ = run(capsys, "equal", "x+y", "x+y-x*y", "--format", "json")
     assert code == 1
     assert json.loads(out) == {"equal": False, "sigma": "11"}
+
+
+def test_equal_over_twenty_names_differing_last_is_quick(capsys):
+    # the two sides differ only where all 20 variables are 1
+    product = "*".join(f"x{i:02d}" for i in range(20))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "equal", f"{product} + x00", "x00")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, f"not-equal at σ={'1' * 20}\n")
 
 
 def test_json_solve(capsys):

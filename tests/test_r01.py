@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 from unittest import mock
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 import boole.development
 import boole.polynomial
 from boole import Polynomial, variables
-from boole.models import Universe, chi, eval_multiset
+from boole.development import equal_by_development, first_difference
+from boole.models import Universe, chi, eval_multiset, holds_in_idempotents
 from boole.polynomial import VariableLimitError
 from boole.r01 import HornSentence, check_equation, check_r01, parse_horn
 from boole.terms import ParseError, poly, to_term
@@ -199,10 +201,24 @@ SQUARED = " + ".join(TWENTY) + " = 10 -> (" + " + ".join(TWENTY) + " - 10)^2 = 0
 @settings(deadline=None, max_examples=100)
 @given(horn_sentences())
 @example(parse_horn(DEMO))
+# A scan looks for 0 < |P| <= B, for P = (2B+1)*(sum of squares) + c and B
+# the sum of |c|'s coefficients.  The witness value 7 here is B itself:
+@example(parse_horn("x = y & y = 1 -> 3*x + 4*y = 0"))
+# at x = 0, y = 1 the antecedent fails and c = -B, so P = B + 1:
+@example(parse_horn("x = 1 -> 0 = y + 1"))
+# coefficients of about 10**40:
+@example(parse_horn("x + y = 1 -> 10^40*x = 10^40*y + 1"))
+@example(parse_horn("x = y -> 10^40*x*y = 10^40*x"))
+# squares that share monomials, and constant antecedents:
+@example(parse_horn("x - y = 0 & y - x = 0 -> x*y = x"))
+@example(parse_horn("x - y = 0 & y - x = 0 -> x = 0"))
+@example(parse_horn("1 = 2 -> x = 0"))
+@example(parse_horn("0 = 0 -> x = 0"))
 def test_check_r01_matches_sweep(sentence):
     want = oracle_check_r01(sentence)
     verdict = check_r01(sentence)
-    with mock.patch.object(boole.development, "_SCAN_NAMES", 8):
+    # scanning at most half the names splits every sentence before it scans
+    with mock.patch.object(boole.development, "_SCAN_NAMES", len(sentence.variables) // 2):
         assert check_r01(sentence) == verdict
     assert verdict == want
     if not verdict.holds:
@@ -225,9 +241,10 @@ def test_search_scans_at_most_ten_names(monkeypatch):
 
 
 def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
-    # Nothing is pruned at 17 variables or fewer, and a scan evaluates
-    # every polynomial on every piece, so two sentences of one shape make
-    # the same transforms wherever their variables fall in name order.
+    # Nothing is pruned at 17 variables or fewer, and a scan evaluates the
+    # sentence, folded into one polynomial, on every piece, so two
+    # sentences of one shape make the same transforms wherever their
+    # variables fall in name order.
     sizes = []
     original = boole.polynomial._transform
 
@@ -242,4 +259,42 @@ def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
         rest = " + ".join(name for name in TWENTY[:17] if name not in (a, b))
         assert check_r01(parse_horn(f"{a} = {b} -> {a}*({rest}) = {b}*({rest})")).holds
         counts.append(sizes.count(2**10))
-    assert counts[0] == counts[1] == 2 * 2**7
+    assert counts[0] == counts[1] == 2**7
+
+
+# ----------------------------------------------------------------------
+# Equations: a walk down the names, no scan
+
+
+def test_equations_run_no_transform(monkeypatch):
+    square = poly(f"({' + '.join(TWENTY[:17])} - 8)^2")
+    last = Polynomial({TWENTY: 1})
+    transforms = []
+    original = boole.polynomial._transform
+
+    def spy(vector, op):
+        transforms.append(len(vector))
+        return original(vector, op)
+
+    monkeypatch.setattr(boole.polynomial, "_transform", spy)
+    monkeypatch.setattr(boole.development, "_transform", spy)
+    assert check_equation(poly("x*(x + y - x*y) - x")).holds
+    assert check_equation(square - square).holds
+    assert dict(check_equation(square).witness) == dict.fromkeys(TWENTY[:17], 0)
+    assert check_equation(last).consequent_value == 1
+    assert first_difference(square, square + last) == "1" * 20
+    assert equal_by_development(square, square)
+    assert holds_in_idempotents(last - last, Universe(1)) is True
+    counter = holds_in_idempotents(last, Universe(1))
+    assert dict(counter.masks) == dict.fromkeys(TWENTY, 1)
+    assert transforms == []
+
+
+def test_equation_failing_only_at_the_last_point_is_quick():
+    # p is nonzero only where all 20 variables are 1, the last of 2**20
+    # points in sigma order
+    start = time.perf_counter()
+    verdict = check_equation(Polynomial({TWENTY: 3}))
+    assert time.perf_counter() - start < 1.0
+    assert dict(verdict.witness) == dict.fromkeys(TWENTY, 1)
+    assert verdict.consequent_value == 3
