@@ -14,7 +14,6 @@ polynomials encoded as arrays of ``{"monomial": [names...],
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -58,9 +57,15 @@ def poly_from_json(entries: list[dict[str, object]]) -> Polynomial:
     )
 
 
+def _print_json(payload: dict[str, object]) -> None:
+    import json  # only JSON output pays for loading it
+
+    print(json.dumps(payload))
+
+
 def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> None:
     if args.format == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(text)
 
@@ -88,7 +93,7 @@ def _cmd_develop(args: argparse.Namespace) -> int:
     table = develop(p, names, max_vars=args.max_vars)
     for sigma, coeff in table.items():
         if args.format == "json":
-            print(json.dumps({"sigma": sigma, "coefficient": poly_to_json(coeff)}))
+            _print_json({"sigma": sigma, "coefficient": poly_to_json(coeff)})
         elif sigma:
             print(f"{sigma} {coeff}")
         else:
@@ -128,17 +133,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "unknown": unknown,
-                    "condition": poly_to_json(solution.condition),
-                    "particular": poly_to_json(solution.particular),
-                    "freedom": poly_to_json(solution.freedom),
-                    "parameter": solution.parameter,
-                    "vacuous": solution.vacuous,
-                }
-            )
+        _print_json(
+            {
+                "unknown": unknown,
+                "condition": poly_to_json(solution.condition),
+                "particular": poly_to_json(solution.particular),
+                "freedom": poly_to_json(solution.freedom),
+                "parameter": solution.parameter,
+                "vacuous": solution.vacuous,
+            }
         )
     else:
         print(f"condition: {solution.condition}")
@@ -154,15 +157,13 @@ def _cmd_interpretable(args: argparse.Namespace) -> int:
     core = interpretable_core(p, max_vars=args.max_vars)
     sigmas = sorted(constituent_equations(p, max_vars=args.max_vars))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "totally_interpretable": totally,
-                    "idempotent": idempotent,
-                    "core": poly_to_json(core),
-                    "constituents": sigmas,
-                }
-            )
+        _print_json(
+            {
+                "totally_interpretable": totally,
+                "idempotent": idempotent,
+                "core": poly_to_json(core),
+                "constituents": sigmas,
+            }
         )
     else:
         print(f"totally interpretable: {'yes' if totally else 'no'}")

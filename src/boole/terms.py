@@ -25,7 +25,6 @@ nested as memory allows.
 
 from __future__ import annotations
 
-import string
 from functools import reduce
 from itertools import compress
 from operator import attrgetter, or_
@@ -307,7 +306,9 @@ class ParseError(Exception):
 
 _SYMBOLS = set("+-*^()")
 # ASCII only: str.isdigit and str.isalnum also accept "²" and "٣".
-_NAME_CHARACTERS = set(string.ascii_letters + string.digits + "_")
+_DIGITS = set("0123456789")
+_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARACTERS = _LETTERS | _DIGITS | {"_"}
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -320,12 +321,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch in _SYMBOLS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch in string.digits:
+        elif ch in _DIGITS:
             start = i
-            while i < n and text[i] in string.digits:
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(("INT", _from_decimal(text[start:i]), start))
-        elif ch in string.ascii_letters:
+        elif ch in _LETTERS:
             start = i
             while i < n and text[i] in _NAME_CHARACTERS:
                 i += 1

@@ -11,17 +11,21 @@ the equation p = 0.
   polynomials.  Over 0/1 points this behaves as existential projection.
 * Solution: solving p = 0 for one unknown y yields a consistency
   condition on the parameters, a particular idempotent solution, and an
-  idempotent degree of freedom scaled by a fresh parameter.
+  idempotent degree of freedom scaled by a fresh parameter.  All three
+  are functions of p's values at the 0/1 points, so over r parameters
+  they cost one zeta transform of two vectors of 2**r entries and one
+  Moebius transform each.
 """
 
 from __future__ import annotations
 
 from functools import reduce as _fold
+from operator import add, mul
 from typing import Iterable
 
 from ._record import Record
-from .development import develop_partial, interpretable_core
-from .polynomial import ONE, ZERO, Polynomial
+from .development import _limited, develop_partial
+from .polynomial import ONE, ZERO, Polynomial, _require_name, from_point_values, point_values
 
 __all__ = ["Solution", "eliminate", "reduce_system", "solve"]
 
@@ -86,7 +90,11 @@ def solve(p: Polynomial, unknown: str, *, max_vars: int | None = None) -> Soluti
     With a := p at unknown 0 and b := p at unknown 1, the condition is
     a*b = 0 and the solution is core(a) + v*(1 - core(a))*(1 - core(b)),
     where core is the interpretable core over the parameters and v is a
-    fresh variable not occurring in p."""
+    fresh variable not occurring in p.  Each part is read off a and b at
+    the 0/1 points of the r parameters: one zeta transform of two vectors
+    of 2**r entries, then one Moebius transform per part.  `max_vars`
+    caps r."""
+    _require_name(unknown)
     parameter = _fresh_parameter(p, unknown)
     if unknown not in p.variables():
         return Solution(
@@ -97,17 +105,17 @@ def solve(p: Polynomial, unknown: str, *, max_vars: int | None = None) -> Soluti
             parameter=parameter,
             vacuous=True,
         )
-    params = tuple(name for name in p.variables() if name != unknown)
-    at_zero = p.substitute(unknown, 0)
-    at_one = p.substitute(unknown, 1)
-    condition = at_zero * at_one
-    core_zero = interpretable_core(at_zero, params, max_vars=max_vars)
-    core_one = interpretable_core(at_one, params, max_vars=max_vars)
+    params = _limited((name for name in p.variables() if name != unknown), max_vars)
+    # The terms without the unknown give p at unknown = 0; adding those
+    # with it (there are some) gives p at unknown = 1.
+    groups = point_values(p, params)
+    at_zero = groups.get((), [0] * (1 << len(params)))
+    at_one = list(map(add, at_zero, groups[(unknown,)]))
     return Solution(
         unknown=unknown,
-        condition=condition,
-        particular=core_zero,
-        freedom=(ONE - core_zero) * (ONE - core_one),
+        condition=from_point_values({(): list(map(mul, at_zero, at_one))}, params),
+        particular=from_point_values({(): [1 if a else 0 for a in at_zero]}, params),
+        freedom=from_point_values({(): [0 if a or b else 1 for a, b in zip(at_zero, at_one)]}, params),
         parameter=parameter,
     )
 

@@ -16,7 +16,7 @@ from typing import Mapping
 from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial
-from boole.development import DevelopmentTable, _check_variables, sigma_strings
+from boole.development import DevelopmentTable, _check_variables, interpretable_core, sigma_strings
 from boole.models import MAX_UNIVERSE, ClassAssignment, Defined, Multiset, Undefined, Universe, _subset_mask
 from boole.polynomial import _pairwise_product, _require_name
 from boole.r01 import HornSentence, Verdict
@@ -40,6 +40,7 @@ from boole.terms import (
     Var,
     Zero,
 )
+from boole.theorems import Solution, _fresh_parameter
 
 VAR_NAMES = ("v", "w", "x", "y", "z")
 
@@ -168,6 +169,35 @@ def oracle_interpretable_core(p: Polynomial, names) -> Polynomial:
         if coeff:
             total = total + oracle_constituent(sigma, table.variables)
     return total
+
+
+def oracle_solve(p: Polynomial, unknown: str, *, max_vars: int | None = None) -> Solution:
+    """Boole's solution of p = 0 term by term: p at unknown 0 and at 1 by
+    substitution, the condition as their product, and the interpretable
+    cores of both halves over the parameters."""
+    parameter = _fresh_parameter(p, unknown)
+    if unknown not in p.variables():
+        return Solution(
+            unknown=unknown,
+            condition=p * p,
+            particular=ZERO,
+            freedom=ONE,
+            parameter=parameter,
+            vacuous=True,
+        )
+    params = tuple(name for name in p.variables() if name != unknown)
+    at_zero = p.substitute(unknown, 0)
+    at_one = p.substitute(unknown, 1)
+    condition = at_zero * at_one
+    core_zero = interpretable_core(at_zero, params, max_vars=max_vars)
+    core_one = interpretable_core(at_one, params, max_vars=max_vars)
+    return Solution(
+        unknown=unknown,
+        condition=condition,
+        particular=core_zero,
+        freedom=(ONE - core_zero) * (ONE - core_one),
+        parameter=parameter,
+    )
 
 
 # The Rule of 0 and 1 and idempotent checking by exhaustive enumeration,

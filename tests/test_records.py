@@ -218,7 +218,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import boole, boole.cli
-print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+print(sorted({"dataclasses", "inspect", "json", "string"} & (set(sys.modules) - before)))
 """
 
 

@@ -2,12 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boole import ONE, ZERO, Polynomial, variables
+from boole import ONE, ZERO, Polynomial, theorems, variables
 from boole.development import develop, sigma_assignment, sigma_strings
 from boole.polynomial import VariableLimitError
 from boole.theorems import Solution, eliminate, reduce_system, solve
-from conftest import random_polynomial, zero_one_points
+from conftest import WIDE_NAMES, oracle_solve, random_polynomial, zero_one_points
 
 x, y, z = variables("x, y, z")
 
@@ -164,3 +166,74 @@ def test_solution_soundness_and_completeness():
                 assert p.evaluate({**env, "y": y_val}) == 0
                 produced.add(y_val)
             assert produced == brute_force_solutions(p, env)
+
+
+@pytest.mark.parametrize("unknown", ["2y", "", "x y", "x²"])
+def test_solve_rejects_an_invalid_unknown(unknown):
+    with pytest.raises(ValueError, match="invalid variable name"):
+        solve(x, unknown)
+
+
+def test_solve_checks_the_cap_before_building_vectors(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a value vector was built")
+
+    monkeypatch.setattr(theorems, "point_values", refuse)
+    wide = Polynomial({tuple(f"x{i:02d}" for i in range(21)) + ("y",): 1})
+    with pytest.raises(VariableLimitError, match="21 variables"):
+        solve(wide, "y")
+
+
+# ----------------------------------------------------------------------
+# Solving on the value kernel against Boole's formula term by term
+
+big_coefficients = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.integers(-(10**40), -(10**39)),
+    st.integers(10**39, 10**40),
+)
+
+
+@st.composite
+def solve_cases(draw):
+    """p = a + d*unknown over 0-8 parameters, the unknown sorting before,
+    among or after them, and a cap.  a may be 0 (p = unknown*d), d may be
+    a multiple of a parameter or of its complement (so it vanishes at some
+    points) or 0 (the vacuous case)."""
+    params = WIDE_NAMES[: draw(st.integers(min_value=0, max_value=8))]
+    unknown = draw(st.sampled_from(("a", "x3a", "y")))
+    if params:
+        monos = st.frozensets(st.sampled_from(params)).map(lambda s: tuple(sorted(s)))
+    else:
+        monos = st.just(())
+    halves = st.dictionaries(monos, big_coefficients, min_size=1, max_size=12).map(Polynomial)
+    rest = draw(st.one_of(halves, st.just(ZERO)))
+    coefficient = draw(halves) if draw(st.integers(0, 3)) else ZERO
+    if params and draw(st.booleans()):
+        factor = Polynomial.variable(draw(st.sampled_from(params)))
+        coefficient = coefficient * (factor if draw(st.booleans()) else ONE - factor)
+    cap = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+    return rest + coefficient * Polynomial.variable(unknown), unknown, cap
+
+
+def solve_outcome(solver, p, unknown, cap):
+    """Every field of the solution, polynomials as their ordered terms,
+    or the cap's error message."""
+    try:
+        solution = solver(p, unknown, max_vars=cap)
+    except VariableLimitError as error:
+        return str(error)
+    fields = (getattr(solution, name) for name in solution._fields)
+    return [list(value.terms.items()) if isinstance(value, Polynomial) else value for value in fields]
+
+
+@settings(deadline=None, max_examples=300)
+@given(solve_cases())
+@example((x - 1, "y", None))
+@example((y * (x - x * z), "y", None))
+@example((y * (x - x * z), "y", 1))
+@example((y - x * z, "y", None))
+@example((Polynomial({("x0", "x1", "x2"): 10**40}) - 10**40 * y, "y", None))
+def test_solve_matches_boole_formula_term_by_term(case):
+    p, unknown, cap = case
+    assert solve_outcome(solve, p, unknown, cap) == solve_outcome(oracle_solve, p, unknown, cap)
