@@ -27,7 +27,7 @@ from .models import (
     eval_multiset,
     eval_partial,
 )
-from .polynomial import Polynomial, VariableLimitError, _decimal, _from_decimal, _require_name, is_valid_name
+from .polynomial import Polynomial, VariableLimitError, _decimal, _from_decimal, _ordered, _require_name, is_valid_name
 from .r01 import check_r01, parse_horn
 from .terms import (
     NotTotallyInterpretableError,
@@ -47,7 +47,7 @@ __all__ = ["main", "poly_from_json", "poly_to_json"]
 def poly_to_json(p: Polynomial) -> list[dict[str, object]]:
     return [
         {"monomial": list(mono), "coefficient": _decimal(coeff)}
-        for mono, coeff in p.terms.items()
+        for mono, coeff in _ordered(p)
     ]
 
 
@@ -401,7 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.max_vars is not None and args.max_vars < 0:
+        parser.error(f"argument --max-vars: the variable limit must be nonnegative, got {args.max_vars}")
     try:
         return args.handler(args)
     except KeyError as error:

@@ -29,10 +29,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .polynomial import (
-    Monomial,
     Polynomial,
     _require_name,
-    _restrict,
+    _split,
+    _spread,
     _transform,
     check_variable_limit,
     from_point_values,
@@ -132,7 +132,7 @@ def constituent(sigma: str, variables: Sequence[str]) -> Polynomial:
     _check_sigma(sigma, len(names))
     one_hot = [0] * (1 << len(names))
     one_hot[int(sigma, 2) if sigma else 0] = 1
-    return from_point_values({(): one_hot}, names)
+    return from_point_values({0: one_hot}, names)
 
 
 def develop_partial(
@@ -165,14 +165,15 @@ def from_table(table: DevelopmentTable) -> Polynomial:
     """Rebuild the developed polynomial: the sum over sigma of the
     coefficient times the constituent.  Inverse of develop."""
     names = table.variables
-    groups: defaultdict[Monomial, list[int]] = defaultdict(lambda: [0] * (1 << len(names)))
+    rest = sorted({name for coeff in table.coefficients.values() for name in coeff.variables()} - set(names))
+    groups: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (1 << len(names)))
     for index, (sigma, coeff) in enumerate(table.items()):
-        bits = dict(zip(names, sigma))
-        for mono, value in coeff.terms.items():
-            # times the constituent of sigma, a table variable is its bit
-            if all(bits.get(name, "1") == "1" for name in mono):
-                groups[tuple(name for name in mono if name not in bits)][index] += value
-    return from_point_values(groups, names)
+        # times the constituent of sigma, a table variable is its bit
+        for name in set(coeff.variables()).intersection(names):
+            coeff = coeff.substitute(name, int(sigma[names.index(name)]))
+        for residual, value in _spread(coeff, rest).items():
+            groups[residual][index] = value
+    return from_point_values(groups, names, rest)
 
 
 def equal_by_development(
@@ -240,8 +241,9 @@ def least_point(
         if not conditions:
             return _walk(p, rest, prefix)
         if len(rest) > _SCAN_NAMES:
+            halves = [_split(q, rest[0]) for q in (p, *conditions)]
             for bit in (1, 0):
-                at = [_restrict(q, rest[0], bit) for q in (p, *conditions)]
+                at = [low + high if bit else low for low, high in halves]
                 stack.append((prefix + str(bit), at[0], at[1:]))
             continue
         found = _scan(p, conditions, rest)
@@ -254,9 +256,9 @@ def _walk(p: Polynomial, names: Sequence[str], sigma: str) -> tuple[str, int]:
     # The least point over `names` where p, a nonzero polynomial, is not 0,
     # after the bits already in `sigma`, and p's value there.
     for name in names:
-        low = _restrict(p, name, 0)
+        low, high = _split(p, name)
         sigma += "0" if low else "1"
-        p = low or _restrict(p, name, 1)
+        p = low or high
     return sigma, p.constant_value()
 
 
@@ -270,15 +272,13 @@ def _scan(
     # where the antecedents all vanish, and |P| >= 2B+1 - B elsewhere.  A
     # piece fixes the names before the last _PIECE_NAMES; P's values on it
     # are the transform of the coefficients of the monomials it sets to 1.
-    bound = sum(map(abs, consequent.terms.values()))
+    bound = sum(map(abs, consequent._table.values()))
     squares = sum((a * a for a in antecedents), Polynomial.zero())
     folded = (2 * bound + 1) * squares + consequent
     cut = max(0, len(names) - _PIECE_NAMES)
     size = 1 << (len(names) - cut)
-    bits = {name: 1 << (len(names) - 1 - i) for i, name in enumerate(names)}
     part = defaultdict(list)  # fixed bits -> [(free bits, coefficient)]
-    for mono, coeff in folded.terms.items():
-        mask = sum(map(bits.__getitem__, mono))  # a monomial's names are distinct
+    for mask, coeff in _spread(folded, names).items():
         part[mask // size].append((mask % size, coeff))
     for piece in range(1 << cut):
         values = [0] * size
@@ -304,7 +304,7 @@ def interpretable_core(
     the sum of the constituents at which p is nonzero.  Always idempotent;
     equals p when p is already idempotent."""
     names, values = _values(p, variables, max_vars)
-    return from_point_values({(): [1 if value else 0 for value in values]}, names)
+    return from_point_values({0: [1 if value else 0 for value in values]}, names)
 
 
 def constituent_equations(
@@ -341,4 +341,4 @@ def _covering(p: Polynomial, variables: Iterable[str] | None) -> Iterable[str]:
 def _values(p: Polynomial, variables: Iterable[str] | None, max_vars: int | None):
     # The complete development as (variables, value vector).
     names = _limited(_covering(p, variables), max_vars)
-    return names, point_values(p, names).get((), [0] * (1 << len(names)))
+    return names, point_values(p, names).get(0, [0] * (1 << len(names)))

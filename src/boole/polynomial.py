@@ -7,13 +7,13 @@ product is the ordinary polynomial product followed by flattening every
 exponent above one back to one (so ``x * x == x`` for a variable ``x``),
 which keeps the multilinear polynomials closed under multiplication.
 
-A multilinear polynomial over m variables is also fixed by its 2**m
-values at the 0/1 points.  The value kernel at the end of this module
-moves between the two forms: a vector indexed by a bitmask over a sorted
-variable list, bit m-1-i for the i-th name, so that index order is the
-binary counting order of the points.  The subset-sum (zeta) transform
-takes coefficients to values and its Moebius inverse takes values back,
-each in m*2**(m-1) integer additions (Yates's algorithm).
+A monomial is a set of variables: over an ascending list of m names, an
+m-bit mask with bit m-1-i for the i-th name, so two monomials multiply by
+one ``|``.  The value kernel at the end of this module indexes by the same
+masks the 2**m values at the 0/1 points, which also fix a multilinear
+polynomial over m variables: the subset-sum (zeta) transform takes
+coefficients to values and its Moebius inverse takes values back, each in
+m*2**(m-1) integer additions (Yates's algorithm).
 
 Coefficients are arbitrary-precision Python ints; nothing here can
 overflow.  Values are immutable and safe to share between threads.
@@ -30,10 +30,13 @@ True
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import defaultdict
-from operator import add, mul, sub
+from functools import reduce
+from itertools import compress
+from operator import add, mul, or_, sub
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "DEFAULT_VARIABLE_LIMIT",
@@ -88,10 +91,13 @@ def _require_name(name: str) -> str:
 def check_variable_limit(count: int, limit: int | None = None) -> None:
     """Raise VariableLimitError if `count` variables exceed the cap.
 
-    `limit` overrides the module default of DEFAULT_VARIABLE_LIMIT.
-    Exceeding the cap is an explicit error, never a silent truncation.
+    `limit` overrides the module default of DEFAULT_VARIABLE_LIMIT; a
+    negative one is a ValueError.  Exceeding the cap is an explicit
+    error, never a silent truncation.
     """
     cap = DEFAULT_VARIABLE_LIMIT if limit is None else limit
+    if cap < 0:
+        raise ValueError(f"the variable limit must be nonnegative, got {cap}")
     if count > cap:
         raise VariableLimitError(
             f"{count} variables would enumerate 2**{count} cases; the limit "
@@ -129,11 +135,6 @@ def _from_decimal(text: str) -> int:
     return -value if negative else value
 
 
-def _monomial_key(mono: Monomial) -> tuple[int, Monomial]:
-    # Degree first, then variable names; fixes storage and printing order.
-    return (len(mono), mono)
-
-
 def _normalize_monomial(mono: object) -> Monomial:
     if isinstance(mono, str):
         return (_require_name(mono),)
@@ -150,10 +151,12 @@ def _normalize_monomial(mono: object) -> Monomial:
 class Polynomial:
     """A canonical multilinear polynomial over the integers.
 
-    Internally an association from monomials to nonzero coefficients, kept
-    in degree-then-name order so equality, hashing and printing are
-    deterministic.  Two polynomials are equal exactly when their
-    associations are identical.
+    Internally ``_names``, the ascending tuple of exactly the variables
+    that occur, and ``_table``, a dict from monomial mask over them to
+    nonzero coefficient; two polynomials are equal exactly when both
+    agree.  Arithmetic sorts nothing: operands over different names are
+    aligned by moving runs of adjacent bits, and the degree-then-name
+    order of ``terms``, printing and JSON is derived when they are read.
 
     Use :meth:`constant`, :meth:`variable` or :func:`variables` to build
     atoms, then combine with ``+``, ``-``, ``*`` and ``**``.  ``*`` is the
@@ -161,27 +164,31 @@ class Polynomial:
     operand it degenerates to ordinary scaling.
     """
 
-    __slots__ = ("_terms",)
-
-    _terms: dict[Monomial, int]
+    __slots__ = ("_names", "_table")
 
     def __init__(self, terms: Mapping[object, int] | None = None):
         table: dict[Monomial, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not isinstance(coeff, int):
-                    raise TypeError(f"coefficient {coeff!r} is not an integer")
-                key = _normalize_monomial(mono)
-                table[key] = table.get(key, 0) + coeff
-        self._terms = _canonical(table)
+        for mono, coeff in (terms or {}).items():
+            if not isinstance(coeff, int):
+                raise TypeError(f"coefficient {coeff!r} is not an integer")
+            key = _normalize_monomial(mono)
+            table[key] = table.get(key, 0) + int(coeff)
+        names = tuple(sorted({name for mono in table for name in mono}))
+        made = Polynomial._make(names, {_bits(names, mono): coeff for mono, coeff in table.items()})
+        self._names, self._table = made._names, made._table
 
     @classmethod
-    def _raw(cls, table: dict[Monomial, int]) -> "Polynomial":
-        # Trusted path for internal arithmetic: monomials are already
-        # sorted tuples of valid names, but coefficients may be zero and
-        # the dict unordered.
+    def _make(cls, names: tuple[str, ...], table: dict[int, int]) -> "Polynomial":
+        # Trusted path for internal arithmetic: `table` is keyed by masks
+        # over `names`, ascending.  Zero coefficients are dropped from it
+        # in place, and so are the names no monomial uses.
+        for mask in [mask for mask, coeff in table.items() if not coeff]:
+            del table[mask]
+        used = reduce(or_, table, 0)
+        if used != (1 << len(names)) - 1:
+            names, table = _select(names, used), _move(table, (used, (1 << used.bit_count()) - 1))
         self = object.__new__(cls)
-        self._terms = _canonical(table)
+        self._names, self._table = names, table
         return self
 
     @classmethod
@@ -196,53 +203,55 @@ class Polynomial:
     def constant(cls, value: int) -> "Polynomial":
         if not isinstance(value, int):
             raise TypeError(f"constant {value!r} is not an integer")
-        return cls._raw({(): value})
+        return Polynomial._make((), {0: int(value)})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls._raw({(_require_name(name),): 1})
+        return Polynomial._make((_require_name(name),), {1: 1})
 
     # ------------------------------------------------------------------
     # Inspection
 
     @property
     def terms(self) -> Mapping[Monomial, int]:
-        """Read-only view of the monomial/coefficient association."""
-        return MappingProxyType(self._terms)
+        """Read-only view of the monomial/coefficient association, in
+        degree-then-name order; built on each read."""
+        return MappingProxyType(dict(_ordered(self)))
 
     def coefficient(self, mono: object = ()) -> int:
         """Coefficient of a monomial, 0 if absent.  ``coefficient()`` is
         the constant term."""
-        return self._terms.get(_normalize_monomial(mono), 0)
+        mono = _normalize_monomial(mono)
+        return self._table.get(_bits(self._names, mono), 0) if set(mono) <= set(self._names) else 0
 
     def variables(self) -> tuple[str, ...]:
         """All variable names occurring in the polynomial, sorted."""
-        return tuple(sorted(_variable_set(self)))
+        return self._names
 
     def is_constant(self) -> bool:
-        return not self._terms or self._terms.keys() == {()}
+        return not self._names
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; error otherwise."""
-        if not self.is_constant():
+        if self._names:
             raise ValueError(f"{self} is not constant")
-        return self._terms.get((), 0)
+        return self._table.get(0, 0)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._table)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = Polynomial.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._names == other._names and self._table == other._table
 
     def __hash__(self) -> int:
         # constants hash like the ints they equal
-        if self.is_constant():
-            return hash(self._terms.get((), 0))
-        return hash(tuple(self._terms.items()))
+        if not self._names:
+            return hash(self._table.get(0, 0))
+        return hash((self._names, frozenset(self._table.items())))
 
     # ------------------------------------------------------------------
     # Ring operations
@@ -251,7 +260,10 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(_add_into(dict(self._terms), other._terms, 1))
+        names, left, right = _align(self, other)
+        if len(right) > len(left):
+            left, right = right, left
+        return Polynomial._make(names, _add_into(left.copy(), right, 1))
 
     __radd__ = __add__
 
@@ -259,16 +271,16 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Polynomial._raw(_add_into(dict(self._terms), other._terms, -1))
+        return self + -other
 
     def __rsub__(self, other: Union["Polynomial", int]) -> "Polynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other.__sub__(self)
+        return other + -self
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
+        return Polynomial._make(self._names, {mask: -coeff for mask, coeff in self._table.items()})
 
     def __pos__(self) -> "Polynomial":
         return self
@@ -281,14 +293,8 @@ class Polynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        pairs = len(self._terms) * len(other._terms)
-        # A single-term operand passes the rule only at n = 0, where both
-        # paths are one multiplication, so it skips the variable count.
-        if len(self._terms) > 1 and len(other._terms) > 1:
-            names = tuple(sorted(_variable_set(self) | _variable_set(other)))
-            if _dense_pays(len(names), pairs):
-                return _dense_product(self, other, names)
-        return _pairwise_product(self, other)
+        names, left, right = _align(self, other)
+        return Polynomial._make(names, _product(left, right))
 
     __rmul__ = __mul__
 
@@ -297,23 +303,7 @@ class Polynomial:
         power for every positive exponent."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        if exponent == 0:
-            return _ONE
-        if exponent == 1:
-            return self
-        square = self * self
-        if square == self:
-            return self
-        result = self if exponent & 1 else _ONE
-        exponent >>= 1
-        while True:
-            _check_power_bits(square)
-            if exponent & 1:
-                result = _check_power_bits(result * square)
-            exponent >>= 1
-            if not exponent:
-                return result
-            square = square * square
+        return Polynomial._make(self._names, _power(self._table, exponent))
 
     # ------------------------------------------------------------------
     # Semantics
@@ -326,13 +316,12 @@ class Polynomial:
         still well defined, just not multiplicative.
         """
         total = 0
-        for mono, coeff in self._terms.items():
-            value = coeff
+        for mono, coeff in _ordered(self):
             for name in mono:
                 if name not in assignment:
                     raise KeyError(f"no value assigned to variable {name!r}")
-                value *= assignment[name]
-            total += value
+                coeff *= assignment[name]
+            total += coeff
         return total
 
     def substitute(self, name: str, replacement: Union["Polynomial", int]) -> "Polynomial":
@@ -342,17 +331,8 @@ class Polynomial:
         replacement = _coerce(replacement)
         if replacement is NotImplemented:
             raise TypeError("replacement must be a Polynomial or an int")
-        kept: dict[Monomial, int] = {}
-        factored: dict[Monomial, int] = {}
-        for mono, coeff in self._terms.items():
-            if name in mono:
-                rest = tuple(v for v in mono if v != name)
-                factored[rest] = factored.get(rest, 0) + coeff
-            else:
-                kept[mono] = coeff
-        if not factored:
-            return self
-        return Polynomial._raw(kept) + Polynomial._raw(factored) * replacement
+        kept, factored = _split(self, name)
+        return kept + factored * replacement if factored else self
 
     def is_idempotent(self) -> bool:
         """True when p*p == p, Boole's condition of interpretability."""
@@ -362,10 +342,10 @@ class Polynomial:
     # Rendering
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._table:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self._terms.items():
+        for mono, coeff in _ordered(self):
             magnitude = abs(coeff)
             if not mono:
                 body = _decimal(magnitude)
@@ -383,12 +363,6 @@ class Polynomial:
         return str(self)
 
 
-def _check_power_bits(p: Polynomial) -> Polynomial:
-    if max(map(abs, p._terms.values()), default=0).bit_length() > MAX_POWER_BITS:
-        raise ValueError(f"power too large: its coefficients pass {MAX_POWER_BITS} bits")
-    return p
-
-
 def _coerce(value: object):
     if isinstance(value, Polynomial):
         return value
@@ -397,50 +371,174 @@ def _coerce(value: object):
     return NotImplemented
 
 
-def _dense_pays(names: int, pairs: int) -> bool:
-    # The product rule: over `names` variables in all, operands with more
-    # term pairs than names * 2**names multiply pointwise as value vectors.
-    return names * (1 << names) < pairs
-
-
-def _variable_set(p: Polynomial) -> set[str]:
-    seen: set[str] = set()
-    for mono in p._terms:
-        seen.update(mono)
-    return seen
-
-
-def _add_into(table: dict[Monomial, int], terms: Mapping[Monomial, int], sign: int) -> dict:
-    # Add sign times `terms` into `table`, which is returned; zero
-    # coefficients stay until the table is made canonical.
-    for mono, coeff in terms.items():
-        table[mono] = table.get(mono, 0) + sign * coeff
-    return table
-
-
-def _canonical(table: dict[Monomial, int]) -> dict[Monomial, int]:
-    return {
-        mono: table[mono]
-        for mono in sorted(table, key=_monomial_key)
-        if table[mono] != 0
-    }
-
-
-_ZERO = object.__new__(Polynomial)
-_ZERO._terms = {}
-_ONE = object.__new__(Polynomial)
-_ONE._terms = {(): 1}
-
-ZERO: Polynomial = _ZERO
-ONE: Polynomial = _ONE
-
-
 def variables(names: str | Iterable[str]) -> tuple[Polynomial, ...]:
     """Build variable polynomials from a comma or space separated string,
     e.g. ``x, y = variables("x, y")``."""
     if isinstance(names, str):
         names = names.replace(",", " ").split()
     return tuple(Polynomial.variable(n) for n in names)
+
+
+# ----------------------------------------------------------------------
+# Masks over name lists
+
+
+def _bits(names: Sequence[str], subset: Iterable[str]) -> int:
+    # The mask over `names`, ascending, of the names in `subset`.
+    top = len(names) - 1
+    return sum(1 << (top - bisect_left(names, name)) for name in subset)
+
+
+def _select(names: Sequence[str], mask: int) -> Monomial:
+    # The names at a mask's set bits, ascending.  Only the set bits are
+    # visited: a mask over 20000 names may have one.
+    top = len(names)
+    if not mask & (mask - 1):  # at most one bit, as in most terms
+        return (names[top - mask.bit_length()],) if mask else ()
+    chosen = []
+    while mask:
+        high = mask.bit_length()
+        chosen.append(names[top - high])
+        mask ^= 1 << (high - 1)
+    return tuple(chosen)
+
+
+def _ordered(p: Polynomial) -> list[tuple[Monomial, int]]:
+    """p's terms in degree-then-name order, the one order in which terms
+    are observed: within one degree, the monomial whose first differing
+    name comes first has the larger mask, and masks stay below
+    2**len(names)."""
+    names, size = p._names, len(p._names)
+    ordered = sorted(p._table.items(), key=lambda item: (item[0].bit_count() << size) - item[0])
+    return [(_select(names, mask), coeff) for mask, coeff in ordered]
+
+
+def _move(table: dict[int, int], *pairs: tuple[int, int]) -> dict[int, int]:
+    """`table` re-keyed so that the set bits of each source, which
+    together cover every key, go in order to those of its target.  Runs
+    of bits that stay adjacent move as one field whatever their length,
+    and a move that changes no key returns the table itself."""
+    fields: dict[int, int] = {}  # shift -> bits
+    for source, target in pairs:
+        while source:
+            start = (source & -source).bit_length() - 1
+            end = (target & -target).bit_length() - 1
+            a, b = source >> start, target >> end
+            # the shorter of the two runs of ones at the bottom
+            run = (1 << min((a ^ (a + 1)).bit_length(), (b ^ (b + 1)).bit_length()) - 1) - 1
+            fields[end - start] = fields.get(end - start, 0) | run << start
+            source ^= run << start
+            target ^= run << end
+    if not any(fields):
+        return table
+    if len(fields) == 1:
+        [shift] = fields
+        if shift > 0:
+            return {mask << shift: coeff for mask, coeff in table.items()}
+        return {mask >> -shift: coeff for mask, coeff in table.items()}
+    moves = list(fields.items())
+
+    def moved(mask: int) -> int:
+        key = 0
+        for shift, bits in moves:
+            key |= (mask & bits) << shift if shift > 0 else (mask & bits) >> -shift
+        return key
+
+    return {moved(mask): coeff for mask, coeff in table.items()}
+
+
+def _spread(p: Polynomial, names: Sequence[str]) -> dict[int, int]:
+    # p's table over `names`, ascending, which include p's.
+    return _move(p._table, ((1 << len(p._names)) - 1, _bits(names, p._names)))
+
+
+def _align(p: Polynomial, q: Polynomial) -> tuple[tuple[str, ...], dict[int, int], dict[int, int]]:
+    # The union of p's and q's names and both tables over it.  The names
+    # only the smaller operand has split the larger one's bits into runs.
+    if p._names == q._names:
+        return p._names, p._table, q._table
+    big, small = (p, q) if len(p._names) >= len(q._names) else (q, p)
+    known = set(big._names)
+    extra = [name for name in small._names if name not in known]
+    names = tuple(sorted(big._names + tuple(extra))) if extra else big._names
+    gaps = ((1 << len(names)) - 1) ^ _bits(names, extra)
+    spread = _move(big._table, ((1 << len(big._names)) - 1, gaps))
+    return (names, spread, _spread(small, names)) if big is p else (names, _spread(small, names), spread)
+
+
+def _split(p: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
+    # p's terms without `name`, and those with it, `name` struck out: p is
+    # the first plus `name` times the second.
+    if name not in p._names:
+        return p, _ZERO
+    bit = _bits(p._names, (name,))
+    low = {mask: coeff for mask, coeff in p._table.items() if not mask & bit}
+    high = {mask ^ bit: coeff for mask, coeff in p._table.items() if mask & bit}
+    return Polynomial._make(p._names, low), Polynomial._make(p._names, high)
+
+
+# ----------------------------------------------------------------------
+# The table kernel: sums, products and powers of tables keyed by masks
+# over one name list, shared by Polynomial and the term compiler
+
+
+def _add_into(table: dict[int, int], terms: Mapping[int, int], sign: int) -> dict[int, int]:
+    # Add sign times `terms` into `table`, which is returned; zero
+    # coefficients stay.
+    for mask, coeff in terms.items():
+        table[mask] = table.get(mask, 0) + sign * coeff
+    return table
+
+
+def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
+    """The flattening product of two tables: by a one-term factor in one
+    step, unless two of its monomials meet; as value vectors when, over
+    the n bits either table uses, the term pairs outnumber n*2**n;
+    otherwise term by term.  Zero coefficients may remain."""
+    if len(p) > len(q):
+        p, q = q, p
+    if len(p) == 1:
+        [(m, c)] = p.items()
+        table = {a | m: c * ca for a, ca in q.items()}
+        if len(table) == len(q):
+            return table
+    elif p:
+        used = reduce(or_, p) | reduce(or_, q)
+        if used.bit_count() << used.bit_count() < len(p) * len(q):
+            return _dense_product(p, q, used)
+    table = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            # Monomials multiply by set union; this is where repeated
+            # variables flatten back to the first power.
+            table[a | b] = table.get(a | b, 0) + ca * cb
+    return table
+
+
+def _power(table: dict[int, int], exponent: int) -> dict[int, int]:
+    # Repeated squaring; an idempotent base is its own power for every
+    # positive exponent, and is returned as it is.
+    if exponent < 2:
+        return table if exponent else {0: 1}
+    square = _product(table, table)
+    if square == table:
+        return table
+    result = table if exponent & 1 else {0: 1}
+    exponent >>= 1
+    while True:
+        _check_power_bits(square)
+        if exponent & 1:
+            result = _check_power_bits(_product(result, square))
+        exponent >>= 1
+        if not exponent:
+            return result
+        square = _product(square, square)
+
+
+def _check_power_bits(table: dict[int, int]) -> dict[int, int]:
+    if max(map(abs, table.values()), default=0).bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"power too large: its coefficients pass {MAX_POWER_BITS} bits")
+    return table
 
 
 # ----------------------------------------------------------------------
@@ -467,26 +565,34 @@ def _transform(vector: list[int], op) -> None:
         half = step
 
 
-def point_values(p: Polynomial, names: Sequence[str]) -> dict[Monomial, list[int]]:
+def _coefficients(vector: list[int]) -> dict[int, int]:
+    # The nonzero coefficients of the values in `vector`, which is
+    # overwritten, by monomial mask.
+    _transform(vector, sub)
+    return dict(zip(compress(range(len(vector)), vector), filter(None, vector)))
+
+
+def _halves(everything: tuple[str, ...], names: Sequence[str]) -> tuple[tuple[int, int], ...]:
+    # The moves over `everything`, ascending, that take the bits of
+    # `names` to the top and the other bits below them, each in order.
+    top, rest = (1 << len(everything)) - 1, (1 << (len(everything) - len(names))) - 1
+    inside = _bits(everything, names)
+    return (inside, top ^ rest), (top ^ inside, rest)
+
+
+def point_values(p: Polynomial, names: Sequence[str]) -> dict[int, list[int]]:
     """The values of p at the 0/1 points of `names`, a strictly ascending
-    variable list: for each residual monomial (the part of a monomial
-    outside `names`), the vector of its coefficient in p at every point,
-    indexed as in the module docstring.  A zero polynomial gives no
-    vectors at all."""
-    size = 1 << len(names)
-    top = len(names) - 1
-    bits = {name: 1 << (top - i) for i, name in enumerate(names)}
-    groups: defaultdict[Monomial, list[int]] = defaultdict(lambda: [0] * size)
-    for mono, coeff in p._terms.items():
-        mask = 0
-        rest: list[str] = []
-        for name in mono:
-            bit = bits.get(name)
-            if bit is None:
-                rest.append(name)
-            else:
-                mask |= bit
-        groups[tuple(rest)][mask] += coeff
+    variable list: for each residual (the part of a monomial outside
+    `names`, a mask over p's other names), the vector of its coefficient
+    in p at every point, indexed as in the module docstring.  Over
+    ``(*names, *rest)`` a monomial's high bits index the point and its low
+    bits are its residual.  A zero polynomial gives no vectors at all."""
+    everything = tuple(sorted({*p._names, *names}))
+    rest = len(everything) - len(names)
+    size, low = 1 << len(names), (1 << rest) - 1
+    groups: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
+    for mask, coeff in _move(_spread(p, everything), *_halves(everything, names)).items():
+        groups[mask & low][mask >> rest] = coeff
     for vector in groups.values():
         _transform(vector, add)
     return groups
@@ -495,85 +601,43 @@ def point_values(p: Polynomial, names: Sequence[str]) -> dict[Monomial, list[int
 def point_polynomials(p: Polynomial, names: Sequence[str]) -> list[Polynomial]:
     """p with the variables of `names` set to the bits of each 0/1 point,
     in index order: one polynomial in the remaining variables per point."""
-    groups = sorted(point_values(p, names).items(), key=lambda item: _monomial_key(item[0]))
+    groups = point_values(p, names)
     if not groups:
         return [_ZERO] * (1 << len(names))
-    residuals = [residual for residual, _ in groups]
-    points: list[Polynomial] = []
-    for values in zip(*(vector for _, vector in groups)):
-        entry = object.__new__(Polynomial)
-        # residuals are already in canonical order
-        entry._terms = {residual: v for residual, v in zip(residuals, values) if v}
-        points.append(entry)
-    return points
+    rest = tuple(name for name in p._names if name not in names)
+    residuals = list(groups)
+    return [Polynomial._make(rest, dict(zip(residuals, values))) for values in zip(*groups.values())]
 
 
-def _restrict(q: Polynomial, name: str, bit: int) -> Polynomial:
-    # q with `name` set to `bit`: the terms without `name`, in their own
-    # order, and at 1 also the terms with it, `name` struck out.
-    kept = {mono: coeff for mono, coeff in q._terms.items() if name not in mono}
-    if not bit:
-        at_zero = object.__new__(Polynomial)
-        at_zero._terms = kept
-        return at_zero
-    for mono, coeff in q._terms.items():
-        if name in mono:
-            cut = mono.index(name)
-            rest = mono[:cut] + mono[cut + 1 :]
-            kept[rest] = kept.get(rest, 0) + coeff
-    return Polynomial._raw(kept)
-
-
-def from_point_values(groups: Mapping[Monomial, list[int]], names: Sequence[str]) -> Polynomial:
+def from_point_values(groups: Mapping[int, list[int]], names: Sequence[str], rest: Sequence[str] = ()) -> Polynomial:
     """Inverse of point_values: the polynomial whose values at the 0/1
-    points of `names` are the given vectors, one per residual monomial
-    (residual monomials must not mention `names`).  The vectors are
+    points of `names` are the given vectors, one per residual mask over
+    `rest` (ascending, and disjoint from `names`).  The vectors are
     overwritten."""
-    # A monomial is the concatenation of one over the first names and one
-    # over the last, each looked up by its half of the bitmask.
-    split = len(names) // 2
-    high, low = _subsets(names[: len(names) - split]), _subsets(names[len(names) - split :])
-    low_mask = (1 << split) - 1
-    table: dict[Monomial, int] = {}
+    table: dict[int, int] = {}
     for residual, vector in groups.items():
-        _transform(vector, sub)
-        for mask, coeff in enumerate(vector):
-            if coeff:
-                mono = high[mask >> split] + low[mask & low_mask]
-                if residual:
-                    mono = tuple(sorted(residual + mono))
-                table[mono] = coeff
-    return Polynomial._raw(table)
+        for index, coeff in _coefficients(vector).items():
+            table[index << len(rest) | residual] = coeff
+    everything = tuple(sorted((*names, *rest)))
+    return Polynomial._make(everything, _move(table, *((t, s) for s, t in _halves(everything, names))))
 
 
-def _subsets(names: Sequence[str]) -> list[Monomial]:
-    # Every monomial over `names`, indexed by bitmask.
-    monos: list[Monomial] = [()]
-    for name in reversed(names):
-        monos += [(name, *mono) for mono in monos]
-    return monos
-
-
-def _dense_product(p: Polynomial, q: Polynomial, names: Sequence[str]) -> Polynomial:
+def _dense_product(p: dict[int, int], q: dict[int, int], used: int) -> dict[int, int]:
     # The flattening product is the pointwise product of values at the
-    # 0/1 points.  `names` must cover both operands.
-    zeros = [0] * (1 << len(names))
-    left = point_values(p, names).get((), zeros)
-    right = point_values(q, names).get((), zeros)
-    return from_point_values({(): list(map(mul, left, right))}, names)
+    # 0/1 points of the `used` bits, packed to the lowest ones.
+    size = 1 << used.bit_count()
+    vectors = []
+    for table in (p, q):
+        vector = [0] * size
+        for mask, coeff in _move(table, (used, size - 1)).items():
+            vector[mask] = coeff
+        _transform(vector, add)
+        vectors.append(vector)
+    return _move(_coefficients(list(map(mul, *vectors))), (size - 1, used))
 
 
-def _pairwise_product(p: Polynomial, q: Polynomial) -> Polynomial:
-    table: dict[Monomial, int] = {}
-    for m1, c1 in p._terms.items():
-        for m2, c2 in q._terms.items():
-            # Monomials multiply by set union; this is where repeated
-            # variables flatten back to the first power.
-            if not m1:
-                mono = m2
-            elif not m2:
-                mono = m1
-            else:
-                mono = tuple(sorted(set(m1) | set(m2)))
-            table[mono] = table.get(mono, 0) + c1 * c2
-    return Polynomial._raw(table)
+_ZERO = Polynomial._make((), {})
+_ONE = Polynomial._make((), {0: 1})
+
+ZERO: Polynomial = _ZERO
+ONE: Polynomial = _ONE

@@ -25,13 +25,11 @@ nested as memory allows.
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import compress
-from operator import attrgetter, or_
+from operator import attrgetter
 from typing import Callable, Mapping
 
 from ._record import Record, _set
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _decimal, _dense_pays, _from_decimal, _require_name
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _bits, _decimal, _from_decimal, _power, _product, _require_name
 
 __all__ = [
     "Add",
@@ -451,13 +449,11 @@ def format_term(term: Term, compact: bool = False) -> str:
 # Compilation to polynomials
 #
 # Every value is a sign and a coefficient table of the node's own, the
-# value being the sign times the table.  A table's monomials are
-# bitmasks over the term's variables, bit i for the i-th name in sorted
-# order, so two monomials multiply by one `|` however long they are.
-# Unary minus flips the sign, + and - add the smaller table into the
-# larger, and a product multiplies term by term unless Polynomial's rule
-# sends it to the value kernel.  Only there, in powers and at the root do
-# masks become name tuples.
+# value being the sign times the table, keyed by monomial masks over the
+# term's variables as in ``polynomial``.  Unary minus flips the sign, + and
+# - add the smaller table into the larger, and * and ^ run the
+# polynomial kernel's product and power; the root's table becomes the
+# polynomial, and nothing is sorted.
 
 
 def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[int, dict]:
@@ -469,66 +465,18 @@ def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[in
     return rsign, _add_into(rtable, ltable, lsign * rsign)
 
 
-def _mask_product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    # Term by term.  By a one-term factor the table is built in one step,
-    # unless two of its monomials meet in one product and must be added.
-    if len(p) > len(q):
-        p, q = q, p
-    if len(p) == 1:
-        [(m, c)] = p.items()
-        table = {a | m: c * ca for a, ca in q.items()}
-        if len(table) == len(q):
-            return table
-    table: dict[int, int] = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            table[a | b] = table.get(a | b, 0) + ca * cb
-    return table
-
-
 def _compile_visits(names: tuple[str, ...]) -> dict[type, Callable]:
-    bits = {name: 1 << i for i, name in enumerate(names)}
-
-    def product(node: Mul, left: tuple[int, dict], right: tuple[int, dict]) -> tuple[int, dict]:
-        (lsign, ltable), (rsign, rtable) = left, right
-        if len(ltable) > 1 and len(rtable) > 1:
-            used = reduce(or_, ltable) | reduce(or_, rtable)
-            if _dense_pays(used.bit_count(), len(ltable) * len(rtable)):
-                dense = _polynomial(ltable, names) * _polynomial(rtable, names)
-                return lsign * rsign, _masks(dense, bits)
-        return lsign * rsign, _mask_product(ltable, rtable)
-
-    def power(node: Pow, base: tuple[int, dict]) -> tuple[int, dict]:
-        sign, table = base
-        return sign if node.exponent & 1 else 1, _masks(_polynomial(table, names) ** node.exponent, bits)
-
     return {
-        Var: lambda node: (1, {bits[node.name]: 1}),
+        Var: lambda node: (1, {_bits(names, (node.name,)): 1}),
         Zero: lambda node: (1, {}),
         One: lambda node: (1, {0: 1}),
         IntLit: lambda node: (1, {0: node.value}),
         Add: lambda node, left, right: _sum(left, right, 1),
         Sub: lambda node, left, right: _sum(left, right, -1),
         Neg: lambda node, operand: (-operand[0], operand[1]),
-        Mul: product,
-        Pow: power,
+        Mul: lambda node, left, right: (left[0] * right[0], _product(left[1], right[1])),
+        Pow: lambda node, base: (base[0] if node.exponent & 1 else 1, _power(base[1], node.exponent)),
     }
-
-
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _polynomial(table: dict[int, int], names: tuple[str, ...], sign: int = 1) -> Polynomial:
-    # bin() lists a mask's bits highest first; reversed and read as bytes
-    # 0 and 1, it selects names[i] for bit i.
-    return Polynomial._raw({
-        tuple(compress(names, bin(mask)[:1:-1].encode().translate(_BIT_BYTES))): sign * coeff
-        for mask, coeff in table.items()
-    })
-
-
-def _masks(p: Polynomial, bits: dict[str, int]) -> dict[int, int]:
-    return {sum(map(bits.__getitem__, mono)): coeff for mono, coeff in p.terms.items()}
 
 
 def term_to_poly(term: Term) -> Polynomial:
@@ -536,7 +484,9 @@ def term_to_poly(term: Term) -> Polynomial:
     the flattening product, so idempotence of variables is built in)."""
     names = term_variables(term)
     sign, table = _fold(term, _compile_visits(names))
-    return _polynomial(table, names, sign)
+    if sign < 0:
+        table = {mask: -coeff for mask, coeff in table.items()}
+    return Polynomial._make(names, table)
 
 
 def poly(text: str) -> Polynomial:
@@ -545,30 +495,9 @@ def poly(text: str) -> Polynomial:
 
 
 def to_term(p: Polynomial) -> Term:
-    """A term whose compilation is exactly `p` (canonical term order)."""
-    items = list(p.terms.items())
-    if not items:
-        return Zero()
-    node: Term | None = None
-    for mono, coeff in items:
-        body = _monomial_term(mono, abs(coeff))
-        if node is None:
-            node = Neg(body) if coeff < 0 else body
-        else:
-            node = Sub(node, body) if coeff < 0 else Add(node, body)
-    assert node is not None
-    return node
-
-
-def _monomial_term(mono: tuple[str, ...], magnitude: int) -> Term:
-    factors: list[Term] = []
-    if magnitude != 1 or not mono:
-        factors.append(_int_term(magnitude))
-    factors.extend(Var(name) for name in mono)
-    node = factors[0]
-    for factor in factors[1:]:
-        node = Mul(node, factor)
-    return node
+    """A term whose compilation is exactly `p`: the parse of its printed
+    form, which lists the terms in canonical order."""
+    return parse(str(p))
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +564,7 @@ def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
 
 
 _TO_SET: dict[type, Callable] = {
-    Var: lambda node: (SetVar(node.name), lambda: Polynomial._raw({(node.name,): 1})),
+    Var: lambda node: (SetVar(node.name), lambda: Polynomial.variable(node.name)),
     One: lambda node: (SetUniverse(), lambda: ONE),
     Zero: lambda node: (SetEmpty(), lambda: ZERO),
     IntLit: _set_literal,

@@ -109,13 +109,13 @@ def solve(p: Polynomial, unknown: str, *, max_vars: int | None = None) -> Soluti
     # The terms without the unknown give p at unknown = 0; adding those
     # with it (there are some) gives p at unknown = 1.
     groups = point_values(p, params)
-    at_zero = groups.get((), [0] * (1 << len(params)))
-    at_one = list(map(add, at_zero, groups[(unknown,)]))
+    at_zero = groups.get(0, [0] * (1 << len(params)))
+    at_one = list(map(add, at_zero, groups[1]))
     return Solution(
         unknown=unknown,
-        condition=from_point_values({(): list(map(mul, at_zero, at_one))}, params),
-        particular=from_point_values({(): [1 if a else 0 for a in at_zero]}, params),
-        freedom=from_point_values({(): [0 if a or b else 1 for a, b in zip(at_zero, at_one)]}, params),
+        condition=from_point_values({0: list(map(mul, at_zero, at_one))}, params),
+        particular=from_point_values({0: [1 if a else 0 for a in at_zero]}, params),
+        freedom=from_point_values({0: [0 if a or b else 1 for a, b in zip(at_zero, at_one)]}, params),
         parameter=parameter,
     )
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from boole import ONE, ZERO, Polynomial
 from boole.development import DevelopmentTable, _check_variables, interpretable_core, sigma_strings
 from boole.models import MAX_UNIVERSE, ClassAssignment, Defined, Multiset, Undefined, Universe, _subset_mask
-from boole.polynomial import _pairwise_product, _require_name
+from boole.polynomial import _require_name
 from boole.r01 import HornSentence, Verdict
 from boole.terms import (
     Add,
@@ -132,11 +132,24 @@ def oracle_sigmas(count: int):
 # forms of the definitions, kept as the reference for the value kernel.
 
 
+def oracle_product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """The flattening product term pair by term pair on name tuples."""
+    table: dict[tuple[str, ...], int] = {}
+    right = q.terms.items()  # a view of q's terms is built on each read
+    for m1, c1 in p.terms.items():
+        for m2, c2 in right:
+            # Monomials multiply by set union; this is where repeated
+            # variables flatten back to the first power.
+            mono = tuple(sorted(set(m1) | set(m2)))
+            table[mono] = table.get(mono, 0) + c1 * c2
+    return Polynomial(table)
+
+
 def oracle_constituent(sigma: str, names) -> Polynomial:
     result = ONE
     for name, bit in zip(names, sigma):
         x = Polynomial.variable(name)
-        result = _pairwise_product(result, x if bit == "1" else ONE - x)
+        result = oracle_product(result, x if bit == "1" else ONE - x)
     return result
 
 
@@ -157,7 +170,7 @@ def oracle_from_table(table: DevelopmentTable) -> Polynomial:
     total = ZERO
     for sigma, coeff in table.items():
         if coeff:
-            total = total + _pairwise_product(coeff, oracle_constituent(sigma, table.variables))
+            total = total + oracle_product(coeff, oracle_constituent(sigma, table.variables))
     return total
 
 

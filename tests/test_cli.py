@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from boole import Polynomial
 from boole.cli import main, poly_from_json, poly_to_json
 from boole.terms import poly
 
@@ -186,6 +187,15 @@ def test_variable_cap_error(capsys):
     assert out.endswith("11 1\n")
 
 
+@pytest.mark.parametrize("command", [["normalize", "x"], ["develop", "x"], ["r01", "x = x"]])
+def test_negative_max_vars_exits_2(capsys, command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--max-vars", "-5"])
+    assert excinfo.value.code == 2
+    assert "--max-vars: the variable limit must be nonnegative, got -5" in capsys.readouterr().err
+    assert run(capsys, *command, "--max-vars", "0")[0] in (0, 2)
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate", "x"])
@@ -245,6 +255,14 @@ def test_json_polynomial_encoding_is_canonical():
     ]
     assert poly_to_json(poly("0")) == []
     assert poly_from_json([]) == poly("0")
+
+
+def test_json_round_trips_a_bool_constant():
+    # True is an int; stored as such it would print as "True", which
+    # poly_from_json rejects.
+    for p in (Polynomial.constant(True), Polynomial({(): True, ("x",): False})):
+        assert poly_to_json(p) == [{"monomial": [], "coefficient": "1"}]
+        assert poly_from_json(poly_to_json(p)) == p == poly("1")
 
 
 def test_json_develop(capsys):

@@ -2,17 +2,18 @@ import doctest
 import random
 import time
 from functools import reduce
+from math import prod
 from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boole.polynomial
 from boole import ONE, ZERO, Polynomial, variables
-from boole.polynomial import _dense_product, _pairwise_product
+from boole.polynomial import _bits, _dense_product, _spread
 from boole.terms import poly
-from conftest import polynomials, wide_polynomials, zero_one_points
+from conftest import WIDE_NAMES, oracle_product, polynomials, wide_polynomials, zero_one_points
 
 x, y, z = variables("x, y, z")
 
@@ -130,17 +131,22 @@ def test_powers_past_the_size_bound_are_refused_at_once():
 
 def test_power_squares_nothing_past_the_size_bound(monkeypatch):
     bound = boole.polynomial.MAX_POWER_BITS
-    multiply = Polynomial.__mul__
+    multiply = boole.polynomial._product
+    calls = []
 
     def bounded(p, q):
+        calls.append(1)
         for operand in (p, q):
-            assert max(map(abs, operand.terms.values()), default=0).bit_length() <= bound
+            assert max(map(abs, operand.values()), default=0).bit_length() <= bound
         return multiply(p, q)
 
-    monkeypatch.setattr(Polynomial, "__mul__", bounded)
+    monkeypatch.setattr(boole.polynomial, "_product", bounded)
     for exponent in (2**24, 2**24 + 1):
         with pytest.raises(ValueError, match="power too large"):
             poly(f"(x + y)^{exponent}")
+        with pytest.raises(ValueError, match="power too large"):
+            (x + y) ** exponent
+    assert calls
 
 
 @given(polynomials, st.integers(min_value=0, max_value=9))
@@ -159,8 +165,12 @@ def full(n):
 
 @given(wide_polynomials, wide_polynomials)
 def test_dense_product_matches_pairwise(p, q):
-    names = tuple(sorted(set(p.variables()) | set(q.variables()) | {"x0"}))
-    assert _dense_product(p, q, names) == _pairwise_product(p, q) == p * q
+    # Both tables over names with gaps between the ones they use, as the
+    # term compiler's are, and the vectors over one name neither uses.
+    layout = tuple(sorted(WIDE_NAMES + ("x05", "x15", "x9")))
+    used = _bits(layout, {*p.variables(), *q.variables(), "x0"})
+    dense = _dense_product(_spread(p, layout), _spread(q, layout), used)
+    assert Polynomial._make(layout, dense) == oracle_product(p, q) == p * q
 
 
 @pytest.mark.parametrize(
@@ -181,7 +191,7 @@ def test_product_takes_the_dense_path_exactly_past_n_2n(monkeypatch, p, q, dense
         calls.append(args)
         return _dense_product(*args)
     monkeypatch.setattr(boole.polynomial, "_dense_product", spy)
-    assert p * q == _pairwise_product(p, q)
+    assert p * q == oracle_product(p, q)
     assert bool(calls) == dense
 
 
@@ -328,3 +338,125 @@ def test_variables_helper():
     a, b = variables("a b")
     assert a == Polynomial.variable("a") and b == Polynomial.variable("b")
     assert variables(["p", "q"])[1] == Polynomial.variable("q")
+
+
+# ----------------------------------------------------------------------
+# The representation against tuple-keyed oracle arithmetic
+#
+# Random expressions over two name pools: one whose operands' names fall
+# before, between and after each other, and one of 70 names, so that
+# monomial masks pass 64 bits.  Coefficients reach 10**40, and `cancel`
+# adds and takes away one operand, removing every name only it has.
+
+NAME_POOLS = (("a", "b", "c", "d", "e", "f"), tuple(f"v{i:02d}" for i in range(70)))
+
+
+def oracle_add(a, b, sign=1):
+    total = dict(a)
+    for mono, coeff in b.items():
+        total[mono] = total.get(mono, 0) + sign * coeff
+    return {mono: coeff for mono, coeff in total.items() if coeff}
+
+
+def oracle_mul(a, b):
+    total = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(sorted(set(m1) | set(m2)))
+            total[mono] = total.get(mono, 0) + c1 * c2
+    return {mono: coeff for mono, coeff in total.items() if coeff}
+
+
+def oracle_substitute(a, name, b):
+    kept = {mono: coeff for mono, coeff in a.items() if name not in mono}
+    factored = {tuple(v for v in mono if v != name): coeff for mono, coeff in a.items() if name in mono}
+    return oracle_add(kept, oracle_mul(factored, b))
+
+
+def oracle_str(items):
+    parts = []
+    for mono, coeff in items:
+        body = "*".join(([str(abs(coeff))] if abs(coeff) != 1 or not mono else []) + list(mono))
+        parts.append(("-" if coeff < 0 else "") + body if not parts else ("- " if coeff < 0 else "+ ") + body)
+    return " ".join(parts) or "0"
+
+
+def expressions(pool):
+    monomials = st.frozensets(st.sampled_from(pool), max_size=4).map(lambda s: tuple(sorted(s)))
+    leaves = st.one_of(
+        st.tuples(st.just("int"), st.integers(-3, 3)),
+        st.tuples(st.just("var"), st.sampled_from(pool)),
+        st.tuples(st.just("table"), st.dictionaries(monomials, st.integers(-(10**40), 10**40), max_size=4)),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "cancel"]), inner, inner),
+            st.tuples(st.sampled_from(["int+", "int-", "int*"]), st.integers(-3, 3), inner),
+            st.tuples(st.just("**"), inner, st.integers(0, 3)),
+            st.tuples(st.just("neg"), inner),
+            st.tuples(st.just("substitute"), inner, st.sampled_from(pool), inner),
+        ),
+        max_leaves=8,
+    )
+
+
+def build(expr):
+    """The polynomial an expression denotes and its tuple-keyed table."""
+    kind, *args = expr
+    if kind == "int":
+        return Polynomial.constant(args[0]), {(): args[0]} if args[0] else {}
+    if kind == "var":
+        return Polynomial.variable(args[0]), {(args[0],): 1}
+    if kind == "table":
+        return Polynomial(args[0]), {mono: coeff for mono, coeff in args[0].items() if coeff}
+    if kind in ("int+", "int-", "int*"):
+        c, (p, a) = args[0], build(args[1])
+        constant = {(): c} if c else {}
+        if kind == "int+":
+            return c + p, oracle_add(constant, a)
+        if kind == "int-":
+            return c - p, oracle_add(constant, a, -1)
+        return c * p, oracle_mul(constant, a)
+    if kind == "neg":
+        p, a = build(args[0])
+        return -p, {mono: -coeff for mono, coeff in a.items()}
+    if kind == "**":
+        (p, a), k = build(args[0]), args[1]
+        power = {(): 1}
+        for _ in range(k):
+            power = oracle_mul(power, a)
+        return p**k, power
+    if kind == "substitute":
+        (p, a), name, (q, b) = build(args[0]), args[1], build(args[2])
+        return p.substitute(name, q), oracle_substitute(a, name, b)
+    (p, a), (q, b) = build(args[0]), build(args[1])
+    if kind == "+":
+        return p + q, oracle_add(a, b)
+    if kind == "-":
+        return p - q, oracle_add(a, b, -1)
+    if kind == "*":
+        return p * q, oracle_mul(a, b)
+    return (p + q) - q, a  # cancel
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_representation_matches_tuple_oracle(data):
+    pool = data.draw(st.sampled_from(NAME_POOLS))
+    p, table = build(data.draw(expressions(pool)))
+    items = sorted(table.items(), key=lambda item: (len(item[0]), item[0]))
+    assert list(p.terms.items()) == items
+    assert str(p) == oracle_str(items)
+    assert p.variables() == tuple(sorted({name for mono in table for name in mono}))
+    # built in another order, by the constructor and by sums of terms
+    for other in (Polynomial(dict(reversed(items))), sum((Polynomial({m: c}) for m, c in reversed(items)), ZERO)):
+        assert p == other and hash(p) == hash(other)
+    if not p.variables():
+        assert p == p.constant_value() and hash(p) == hash(p.constant_value())
+    assert p != p + Polynomial.variable(pool[-1]) and p != p + 1
+    for mono, coeff in items:
+        assert p.coefficient(mono) == coeff
+    assert p.coefficient((pool[0], "zz")) == table.get((pool[0], "zz"), 0) == 0
+    values = {name: i % 5 - 2 for i, name in enumerate(pool)}
+    assert p.evaluate(values) == sum(coeff * prod(values[v] for v in mono) for mono, coeff in items)

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 import boole.development
 import boole.polynomial
 from boole import Polynomial, variables
-from boole.development import equal_by_development, first_difference
+from boole.development import develop, equal_by_development, first_difference
 from boole.models import Universe, chi, eval_multiset, holds_in_idempotents
-from boole.polynomial import VariableLimitError
+from boole.polynomial import ONE, VariableLimitError, check_variable_limit
 from boole.r01 import HornSentence, check_equation, check_r01, parse_horn
 from boole.terms import ParseError, poly, to_term
 from conftest import horn_sentences, oracle_check_r01, random_polynomial
@@ -135,6 +135,18 @@ def test_cap_and_override():
     with pytest.raises(VariableLimitError):
         check_equation(small, max_vars=1)
     assert not check_equation(small, max_vars=2).holds
+
+
+@pytest.mark.parametrize("limit", [-1, -20])
+def test_a_negative_cap_is_refused(limit):
+    x = Polynomial.variable("x")
+    for call in (
+        lambda: check_variable_limit(0, limit),
+        lambda: check_equation(x - x, max_vars=limit),
+        lambda: develop(ONE, max_vars=limit),
+    ):
+        with pytest.raises(ValueError, match=f"the variable limit must be nonnegative, got {limit}"):
+            call()
 
 
 # ----------------------------------------------------------------------

@@ -298,7 +298,9 @@ def test_products_with_a_one_term_factor_are_sorted_once(monkeypatch):
     term = parse(SPINE)
     expected = oracle_term_to_poly(term).terms
     sorts = []
-    canonical = boole.polynomial._canonical
-    monkeypatch.setattr(boole.polynomial, "_canonical", lambda table: sorts.append(1) or canonical(table))
-    assert term_to_poly(term).terms == expected
+    ordered = boole.polynomial._ordered
+    monkeypatch.setattr(boole.polynomial, "_ordered", lambda p: sorts.append(1) or ordered(p))
+    compiled = term_to_poly(term)
+    assert sorts == []
+    assert compiled.terms == expected
     assert len(sorts) == 1
