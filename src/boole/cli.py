@@ -6,8 +6,9 @@ defined); 1 for a semantic negative (not-equal, fails, undefined, not
 interpretable); 2 for usage, parse or limit errors, and for internal
 errors.
 
-``--format json`` switches to one JSON object per output line, with
-polynomials encoded as arrays of ``{"monomial": [names...],
+``--format json`` switches to one JSON object per result (a development
+row, an ``r01`` sentence, a whole ``solve`` or ``interpretable`` report),
+with polynomials encoded as arrays of ``{"monomial": [names...],
 "coefficient": "decimal string"}`` in canonical term order.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .development import constituent_equations, develop, first_difference, interpretable_core
 from .models import (
@@ -57,15 +59,12 @@ def poly_from_json(entries: list[dict[str, object]]) -> Polynomial:
     )
 
 
-def _print_json(payload: dict[str, object]) -> None:
-    import json  # only JSON output pays for loading it
-
-    print(json.dumps(payload))
-
-
-def _emit(args: argparse.Namespace, text: str, payload: dict[str, object]) -> None:
+def _emit(args: argparse.Namespace, text: str, payload: Callable[[], dict[str, object]]) -> None:
+    """Print one result as `text`, or as the JSON object `payload` builds."""
     if args.format == "json":
-        _print_json(payload)
+        import json  # only JSON output pays for loading it
+
+        print(json.dumps(payload()))
     else:
         print(text)
 
@@ -83,21 +82,16 @@ def _split_names(listing: str) -> tuple[str, ...]:
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
     p = poly(args.expr)
-    _emit(args, str(p), {"polynomial": poly_to_json(p)})
+    _emit(args, str(p), lambda: {"polynomial": poly_to_json(p)})
     return 0
 
 
 def _cmd_develop(args: argparse.Namespace) -> int:
     p = poly(args.expr)
     names = _split_names(args.vars) if args.vars else None
-    table = develop(p, names, max_vars=args.max_vars)
-    for sigma, coeff in table.items():
-        if args.format == "json":
-            _print_json({"sigma": sigma, "coefficient": poly_to_json(coeff)})
-        elif sigma:
-            print(f"{sigma} {coeff}")
-        else:
-            print(coeff)
+    for sigma, coeff in develop(p, names, max_vars=args.max_vars).items():
+        text = f"{sigma} {coeff}" if sigma else str(coeff)
+        _emit(args, text, lambda: {"sigma": sigma, "coefficient": poly_to_json(coeff)})
     return 0
 
 
@@ -105,21 +99,21 @@ def _cmd_equal(args: argparse.Namespace) -> int:
     p, q = poly(args.left), poly(args.right)
     sigma = first_difference(p, q, max_vars=args.max_vars)
     if sigma is None:
-        _emit(args, "equal", {"equal": True})
+        _emit(args, "equal", lambda: {"equal": True})
         return 0
-    _emit(args, f"not-equal at σ={sigma}", {"equal": False, "sigma": sigma})
+    _emit(args, f"not-equal at σ={sigma}", lambda: {"equal": False, "sigma": sigma})
     return 1
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     reduced = reduce_system([poly(e) for e in args.exprs])
-    _emit(args, str(reduced), {"polynomial": poly_to_json(reduced)})
+    _emit(args, str(reduced), lambda: {"polynomial": poly_to_json(reduced)})
     return 0
 
 
 def _cmd_eliminate(args: argparse.Namespace) -> int:
     result = eliminate(poly(args.expr), _split_names(args.elim), max_vars=args.max_vars)
-    _emit(args, str(result), {"polynomial": poly_to_json(result)})
+    _emit(args, str(result), lambda: {"polynomial": poly_to_json(result)})
     return 0
 
 
@@ -132,20 +126,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "alone constrains the parameters",
             file=sys.stderr,
         )
-    if args.format == "json":
-        _print_json(
-            {
-                "unknown": unknown,
-                "condition": poly_to_json(solution.condition),
-                "particular": poly_to_json(solution.particular),
-                "freedom": poly_to_json(solution.freedom),
-                "parameter": solution.parameter,
-                "vacuous": solution.vacuous,
-            }
-        )
-    else:
-        print(f"condition: {solution.condition}")
-        print(f"{unknown} = {solution.particular} + {solution.parameter}*({solution.freedom})")
+    _emit(
+        args,
+        f"condition: {solution.condition}\n"
+        f"{unknown} = {solution.particular} + {solution.parameter}*({solution.freedom})",
+        lambda: {
+            "unknown": unknown,
+            **{part: poly_to_json(getattr(solution, part)) for part in ("condition", "particular", "freedom")},
+            "parameter": solution.parameter,
+            "vacuous": solution.vacuous,
+        },
+    )
     return 0
 
 
@@ -156,21 +147,18 @@ def _cmd_interpretable(args: argparse.Namespace) -> int:
     idempotent = p.is_idempotent()
     core = interpretable_core(p, max_vars=args.max_vars)
     sigmas = sorted(constituent_equations(p, max_vars=args.max_vars))
-    if args.format == "json":
-        _print_json(
-            {
-                "totally_interpretable": totally,
-                "idempotent": idempotent,
-                "core": poly_to_json(core),
-                "constituents": sigmas,
-            }
-        )
-    else:
-        print(f"totally interpretable: {'yes' if totally else 'no'}")
-        print(f"idempotent: {'yes' if idempotent else 'no'}")
-        print(f"core: {core}")
-        shown = " ".join(s if s else "''" for s in sigmas)
-        print(f"constituents: {shown if shown else 'none'}")
+    shown = " ".join(s if s else "''" for s in sigmas)
+    _emit(
+        args,
+        f"totally interpretable: {'yes' if totally else 'no'}\nidempotent: {'yes' if idempotent else 'no'}\n"
+        f"core: {core}\nconstituents: {shown if shown else 'none'}",
+        lambda: {
+            "totally_interpretable": totally,
+            "idempotent": idempotent,
+            "core": poly_to_json(core),
+            "constituents": sigmas,
+        },
+    )
     return 0 if idempotent else 1
 
 
@@ -182,14 +170,14 @@ def _cmd_setexpr(args: argparse.Namespace) -> int:
         _emit(
             args,
             str(error),
-            {
+            lambda: {
                 "error": "not-totally-interpretable",
                 "subterm": format_term(error.term),
                 "condition": error.condition,
             },
         )
         return 1
-    _emit(args, str(expr), {"set_expression": str(expr)})
+    _emit(args, str(expr), lambda: {"set_expression": str(expr)})
     return 0
 
 
@@ -210,65 +198,47 @@ def _cmd_r01(args: argparse.Namespace) -> int:
             print(f"error: line {number}: {error}", file=sys.stderr)
             return 2
         if verdict.holds:
-            _emit(args, "holds", {"holds": True})
-        else:
-            witness = dict(verdict.witness or {})
-            shown = ",".join(f"{name}={bit}" for name, bit in witness.items())
-            _emit(
-                args,
-                f"fails at {shown}",
-                {
-                    "holds": False,
-                    "witness": witness,
-                    "consequent_value": _decimal(verdict.consequent_value),
-                },
-            )
-            status = 1
+            _emit(args, "holds", lambda: {"holds": True})
+            continue
+        witness = dict(verdict.witness or {})
+        shown = ",".join(f"{name}={bit}" for name, bit in witness.items())
+        _emit(
+            args,
+            f"fails at {shown}",
+            lambda: {"holds": False, "witness": witness, "consequent_value": _decimal(verdict.consequent_value)},
+        )
+        status = 1
     return status
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     term = parse(args.expr)
     if args.classes is not None:
-        assignment = _parse_class_spec(args.classes)
-        result = eval_partial(term, assignment)
+        universe, subsets = _parse_assignment(args.classes, "{elements}")
+        result = eval_partial(term, ClassAssignment(universe, subsets))
         if isinstance(result, Defined):
-            _emit(
-                args,
-                _format_mask(result.subset),
-                {"defined": True, "subset": list(elements_of(result.subset))},
-            )
+            elements = elements_of(result.subset)
+            text = "{" + ", ".join(map(str, elements)) + "}" if elements else "∅"
+            _emit(args, text, lambda: {"defined": True, "subset": list(elements)})
             return 0
         _emit(
             args,
             f"undefined: {result.reason}",
-            {
-                "defined": False,
-                "reason": result.reason,
-                "subterm": format_term(result.term),
-            },
+            lambda: {"defined": False, "reason": result.reason, "subterm": format_term(result.term)},
         )
         return 1
-    universe, multisets = _parse_multiset_spec(args.multisets)
-    value = eval_multiset(term, multisets, universe=universe)
-    _emit(args, str(value), {"values": [_decimal(v) for v in value.values]})
+    universe, values = _parse_assignment(args.multisets, "[values]")
+    for name, entries in values.items():
+        if len(entries) != universe.size:
+            raise ValueError(f"{name} needs {universe.size} values, got {len(entries)}")
+    value = eval_multiset(term, {name: Multiset(entries) for name, entries in values.items()}, universe=universe)
+    _emit(args, str(value), lambda: {"values": [_decimal(v) for v in value.values]})
     return 0
 
 
-def _format_mask(mask: int) -> str:
-    if mask == 0:
-        return "∅"
-    return "{" + ", ".join(str(i) for i in elements_of(mask)) + "}"
-
-
-# ----------------------------------------------------------------------
-# Assignment mini-syntaxes
-#
-#   classes:    U=3; x={0,2}; y={}
-#   multisets:  U=2; x=[1,0]; y=[-2,7]
-
-
-def _spec_parts(spec: str) -> tuple[Universe, list[tuple[str, str]]]:
+def _parse_assignment(spec: str, shape: str) -> tuple[Universe, dict[str, list[int]]]:
+    """The universe and each name's integers from ``U=<size>; name=<integers>; ...``, the
+    integers written in the brackets of `shape`: ``"{elements}"`` or ``"[values]"``."""
     parts = [chunk.strip() for chunk in spec.split(";") if chunk.strip()]
     if not parts or not parts[0].replace(" ", "").startswith("U="):
         raise ValueError("assignment must start with 'U=<size>'")
@@ -276,45 +246,54 @@ def _spec_parts(spec: str) -> tuple[Universe, list[tuple[str, str]]]:
         universe = Universe(_from_decimal(parts[0].split("=", 1)[1]))
     except ValueError as error:
         raise ValueError(f"bad universe size: {error}") from None
-    bindings = []
-    for chunk in parts[1:]:
-        name, eq, value = (piece.strip() for piece in chunk.partition("="))
+    entries = [(chunk, *(piece.strip() for piece in chunk.partition("="))) for chunk in parts[1:]]
+    for chunk, name, eq, _ in entries:
         if not eq or not is_valid_name(name):
             raise ValueError(f"bad assignment entry {chunk!r}")
-        bindings.append((name, value))
+    bindings: dict[str, list[int]] = {}
+    for chunk, name, _, value in entries:
+        if name in bindings:
+            raise ValueError(f"variable {name!r} is assigned twice")
+        if not value.startswith(shape[0]) or not value.endswith(shape[-1]):
+            raise ValueError(f"expected {name}={shape}, got {name}={value}")
+        body = value[1:-1].strip()
+        try:
+            bindings[name] = [_from_decimal(piece) for piece in body.split(",")] if body else []
+        except ValueError:
+            raise ValueError(f"bad element in assignment entry {chunk!r}") from None
     return universe, bindings
-
-
-def _parse_class_spec(spec: str) -> ClassAssignment:
-    universe, bindings = _spec_parts(spec)
-    masks: dict[str, object] = {}
-    for name, value in bindings:
-        if not value.startswith("{") or not value.endswith("}"):
-            raise ValueError(f"expected {name}={{elements}}, got {name}={value}")
-        body = value[1:-1].strip()
-        elements = [_from_decimal(piece) for piece in body.split(",")] if body else []
-        masks[name] = elements
-    return ClassAssignment(universe, masks)  # type: ignore[arg-type]
-
-
-def _parse_multiset_spec(spec: str) -> tuple[Universe, dict[str, Multiset]]:
-    universe, bindings = _spec_parts(spec)
-    multisets: dict[str, Multiset] = {}
-    for name, value in bindings:
-        if not value.startswith("[") or not value.endswith("]"):
-            raise ValueError(f"expected {name}=[values], got {name}={value}")
-        body = value[1:-1].strip()
-        entries = [_from_decimal(piece) for piece in body.split(",")] if body else []
-        if len(entries) != universe.size:
-            raise ValueError(
-                f"{name} needs {universe.size} values, got {len(entries)}"
-            )
-        multisets[name] = Multiset(tuple(entries))
-    return universe, multisets
 
 
 # ----------------------------------------------------------------------
 # Wiring
+
+
+# name -> (help, arguments as flag -> add_argument keywords); the handler is _cmd_<name>
+_EXPR = {"expr": {}}
+_COMMANDS = {
+    "normalize": ("canonical polynomial of a term", _EXPR),
+    "develop": (
+        "complete development table",
+        {**_EXPR, "--vars": {"help": "ambient variables, e.g. x,y (superset of the term's)"}},
+    ),
+    "equal": ("equality by complete development", {"left": {}, "right": {}}),
+    "reduce": ("reduce equations e1=0,... to one equation", {"exprs": {"nargs": "+", "metavar": "expr"}}),
+    "eliminate": (
+        "eliminate variables from expr=0",
+        {**_EXPR, "--elim": {"required": True, "help": "variables to eliminate, e.g. x,y"}},
+    ),
+    "solve": (
+        "solve expr=0 for one unknown",
+        {**_EXPR, "--for": {"dest": "unknown", "required": True, "metavar": "VAR"}},
+    ),
+    "interpretable": ("interpretability report: idempotence, core, constituent equations", _EXPR),
+    "setexpr": ("translate a totally interpretable term to sets", _EXPR),
+    "r01": (
+        "check Horn sentences 'e1=f1 & e2=f2 -> e0=f0' by the Rule of 0 and 1",
+        {"sentence": {"nargs": "?"}, "--file": {"help": "file with one sentence per line"}},
+    ),
+    "eval": ("evaluate a term under class or multiset semantics", _EXPR),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -334,69 +313,20 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--max-vars",
         type=int,
-        default=None,
         metavar="N",
         help="override the 20-variable cap on 2**n enumerations "
         "(acknowledging the exponential cost)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    cmd = sub.add_parser("normalize", parents=[common], help="canonical polynomial of a term")
-    cmd.add_argument("expr")
-    cmd.set_defaults(handler=_cmd_normalize)
-
-    cmd = sub.add_parser("develop", parents=[common], help="complete development table")
-    cmd.add_argument("expr")
-    cmd.add_argument("--vars", default=None, help="ambient variables, e.g. x,y (superset of the term's)")
-    cmd.set_defaults(handler=_cmd_develop)
-
-    cmd = sub.add_parser("equal", parents=[common], help="equality by complete development")
-    cmd.add_argument("left")
-    cmd.add_argument("right")
-    cmd.set_defaults(handler=_cmd_equal)
-
-    cmd = sub.add_parser("reduce", parents=[common], help="reduce equations e1=0,... to one equation")
-    cmd.add_argument("exprs", nargs="+", metavar="expr")
-    cmd.set_defaults(handler=_cmd_reduce)
-
-    cmd = sub.add_parser("eliminate", parents=[common], help="eliminate variables from expr=0")
-    cmd.add_argument("expr")
-    cmd.add_argument("--elim", required=True, help="variables to eliminate, e.g. x,y")
-    cmd.set_defaults(handler=_cmd_eliminate)
-
-    cmd = sub.add_parser("solve", parents=[common], help="solve expr=0 for one unknown")
-    cmd.add_argument("expr")
-    cmd.add_argument("--for", dest="unknown", required=True, metavar="VAR")
-    cmd.set_defaults(handler=_cmd_solve)
-
-    cmd = sub.add_parser(
-        "interpretable",
-        parents=[common],
-        help="interpretability report: idempotence, core, constituent equations",
-    )
-    cmd.add_argument("expr")
-    cmd.set_defaults(handler=_cmd_interpretable)
-
-    cmd = sub.add_parser("setexpr", parents=[common], help="translate a totally interpretable term to sets")
-    cmd.add_argument("expr")
-    cmd.set_defaults(handler=_cmd_setexpr)
-
-    cmd = sub.add_parser(
-        "r01",
-        parents=[common],
-        help="check Horn sentences 'e1=f1 & e2=f2 -> e0=f0' by the Rule of 0 and 1",
-    )
-    cmd.add_argument("sentence", nargs="?", default=None)
-    cmd.add_argument("--file", default=None, help="file with one sentence per line")
-    cmd.set_defaults(handler=_cmd_r01)
-
-    cmd = sub.add_parser("eval", parents=[common], help="evaluate a term under class or multiset semantics")
-    cmd.add_argument("expr")
-    group = cmd.add_mutually_exclusive_group(required=True)
-    group.add_argument("--classes", default=None, help="class assignment 'U=2; x={0}; y={0,1}'")
-    group.add_argument("--multisets", default=None, help="multiset assignment 'U=2; x=[1,0]'")
-    cmd.set_defaults(handler=_cmd_eval)
-
+    for name, (text, arguments) in _COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        for flag, options in arguments.items():
+            cmd.add_argument(flag, **options)
+        cmd.set_defaults(handler=globals()[f"_cmd_{name}"])  # looked up per build, so a patched one is used
+        if name == "eval":  # exactly one of the two semantics
+            group = cmd.add_mutually_exclusive_group(required=True)
+            group.add_argument("--classes", help="class assignment 'U=2; x={0}; y={0,1}'")
+            group.add_argument("--multisets", help="multiset assignment 'U=2; x=[1,0]'")
     return parser
 
 

@@ -85,8 +85,11 @@ class Universe(Record):
     size: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.size, int):
+            raise TypeError(f"universe size {self.size!r} is not an integer")
         if not 0 <= self.size <= MAX_UNIVERSE:
             raise ValueError(f"universe size must be in 0..{MAX_UNIVERSE}, got {_decimal(self.size)}")
+        object.__setattr__(self, "size", int(self.size))  # a bool prints as an int
 
     @property
     def mask(self) -> int:

@@ -135,12 +135,13 @@ def _from_decimal(text: str) -> int:
     return -value if negative else value
 
 
-def _normalize_monomial(mono: object) -> Monomial:
-    if isinstance(mono, str):
-        return (_require_name(mono),)
-    names = tuple(mono)  # type: ignore[arg-type]
+def _normalize_monomial(mono: object, valid: set[str]) -> Monomial:
+    # `valid` holds the names checked so far and gains the new ones, so a
+    # caller normalizing many monomials checks each distinct name once.
+    names = (mono,) if isinstance(mono, str) else tuple(mono)  # type: ignore[arg-type]
     for name in names:
-        _require_name(name)
+        if not (isinstance(name, str) and name in valid):
+            valid.add(_require_name(name))
     ordered = tuple(sorted(names))
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
@@ -168,10 +169,11 @@ class Polynomial:
 
     def __init__(self, terms: Mapping[object, int] | None = None):
         table: dict[Monomial, int] = {}
+        valid: set[str] = set()
         for mono, coeff in (terms or {}).items():
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient {coeff!r} is not an integer")
-            key = _normalize_monomial(mono)
+            key = _normalize_monomial(mono, valid)
             table[key] = table.get(key, 0) + int(coeff)
         names = tuple(sorted({name for mono in table for name in mono}))
         made = Polynomial._make(names, {_bits(names, mono): coeff for mono, coeff in table.items()})
@@ -221,7 +223,7 @@ class Polynomial:
     def coefficient(self, mono: object = ()) -> int:
         """Coefficient of a monomial, 0 if absent.  ``coefficient()`` is
         the constant term."""
-        mono = _normalize_monomial(mono)
+        mono = _normalize_monomial(mono, set())
         return self._table.get(_bits(self._names, mono), 0) if set(mono) <= set(self._names) else 0
 
     def variables(self) -> tuple[str, ...]:

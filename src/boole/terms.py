@@ -171,7 +171,7 @@ class IntLit(Term):
     def __init__(self, value: int) -> None:
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"integer literal must be >= 0, got {value!r}")
-        _set(self, "value", value)
+        _set(self, "value", int(value))  # a bool prints as an int
 
 
 class Add(_Binary, Term):
@@ -199,7 +199,7 @@ class Pow(Term):
         if not isinstance(exponent, int) or exponent < 1:
             raise ValueError(f"exponent must be >= 1, got {exponent!r}")
         _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        _set(self, "exponent", int(exponent))
 
 
 class SetExpr(_Node):

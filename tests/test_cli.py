@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,44 @@ def test_golden(capsys, argv, stdout, code):
     assert got_code == code
 
 
+# Every GOLDEN call again with --format json: one JSON object per result
+# (a whole solve or interpretable report is one), the same exit code.
+
+
+@pytest.mark.parametrize("argv, stdout, code", GOLDEN, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_golden_as_json(capsys, argv, stdout, code):
+    got_code, got_out, _ = run(capsys, argv[0], "--format", "json", *argv[1:])
+    lines = got_out.splitlines()
+    assert len(lines) == (1 if argv[0] in ("solve", "interpretable") else stdout.count("\n"))
+    assert all(isinstance(json.loads(line), dict) for line in lines)
+    assert got_code == code
+
+
+# ----------------------------------------------------------------------
+# Help texts, pinned byte for byte at an 80-column terminal. Each block of
+# cli_help.txt starts with the command line that prints it.
+
+COMMANDS = ("normalize", "develop", "equal", "reduce", "eliminate", "solve", "interpretable", "setexpr", "r01", "eval")
+HELP = Path(__file__).with_name("cli_help.txt").read_text(encoding="utf-8").split("$ boole ")[1:]
+
+
+@pytest.mark.parametrize("block", HELP, ids=lambda block: block.partition("\n")[0])
+def test_help_text(capsys, monkeypatch, block):
+    monkeypatch.setenv("COLUMNS", "80")
+    command, _, text = block.partition("\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(command.split())
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == text
+
+
+def test_help_pins_every_command():
+    assert [block.partition("\n")[0] for block in HELP] == [
+        "--help",
+        *(f"{command} --help" for command in COMMANDS),
+    ]
+
+
 # ----------------------------------------------------------------------
 # Errors: exit code 2, message on stderr
 
@@ -147,6 +186,20 @@ def test_huge_class_element_is_outside_the_universe(capsys):
     code, out, err = run(capsys, "eval", "x", "--classes", "U=2; x={100000000000}")
     assert (code, out) == (2, "")
     assert err == "error: assignment for 'x' is not a subset of the universe\n"
+
+
+@pytest.mark.parametrize(
+    "option, spec, message",
+    [
+        ("--classes", "U=2; x={0}; x={1}", "variable 'x' is assigned twice"),
+        ("--multisets", "U=2; x=[0,1]; y=[1,1]; x=[1,1]", "variable 'x' is assigned twice"),
+        ("--classes", "U=2; x={0,}", "bad element in assignment entry 'x={0,}'"),
+        ("--multisets", "U=2; x=[1,]", "bad element in assignment entry 'x=[1,]'"),
+        ("--classes", "U=2; y={}; x={ 0 , a }", "bad element in assignment entry 'x={ 0 , a }'"),
+    ],
+)
+def test_repeated_or_malformed_assignment_entries(capsys, option, spec, message):
+    assert run(capsys, "eval", "x", option, spec) == (2, "", f"error: {message}\n")
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):

@@ -43,6 +43,12 @@ def test_universe_bounds():
         Universe(-1)
 
 
+def test_universe_stores_its_size_as_an_int():
+    assert repr(Universe(True)) == "Universe(size=1)" and Universe(True) == Universe(1)
+    with pytest.raises(TypeError):
+        Universe(2.5)
+
+
 def test_mask_helpers():
     assert mask_of([0, 2]) == 0b101
     assert elements_of(0b101) == (0, 2)

@@ -65,6 +65,31 @@ def test_mapping_constructor_rejects_junk():
         Polynomial({("2x",): 1})
 
 
+def test_mapping_constructor_checks_each_distinct_name_once(monkeypatch):
+    checked = []
+    require = boole.polynomial._require_name
+    monkeypatch.setattr(boole.polynomial, "_require_name", lambda name: checked.append(name) or require(name))
+    names = [f"x{i}" for i in range(8)]
+    p = Polynomial({tuple(n for i, n in enumerate(names) if mask >> i & 1): 1 for mask in range(256)})
+    assert len(p.terms) == 256
+    assert sorted(checked) == names
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({("x", "x"): 1, ("2x",): 1}, "repeats variable 'x'"),
+        ({("2x",): 1, ("x", "x"): 1}, "invalid variable name '2x'"),
+        ({("x",): 1, ("y", "x", "1"): 1}, "invalid variable name '1'"),
+        ({"x": 1, ("x", "y", "x"): 1}, "repeats variable 'x'"),
+        ({(7,): 1}, "invalid variable name 7"),
+    ],
+)
+def test_mapping_constructor_reports_the_first_fault_in_order(terms, message):
+    with pytest.raises(ValueError, match=message):
+        Polynomial(terms)
+
+
 def test_terms_view_is_read_only():
     with pytest.raises(TypeError):
         (x + y).terms[("x",)] = 5  # type: ignore[index]

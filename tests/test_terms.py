@@ -150,6 +150,14 @@ def test_term_formatting_examples():
     assert format_term(parse("(x + y)*z"), compact=True) == "(x+y)*z"
 
 
+def test_bool_operands_are_stored_as_ints():
+    # True is an int; stored as such it would print as "True", which
+    # does not reparse.
+    assert format_term(IntLit(True)) == "1" and repr(IntLit(True)) == "IntLit(value=1)"
+    assert format_term(Pow(Var("x"), True)) == "x^1"
+    assert parse(format_term(Pow(Var("x"), True))) == Pow(Var("x"), 1)
+
+
 def test_term_format_parse_round_trip_random():
     rng = random.Random(11)
     for _ in range(200):
