@@ -33,6 +33,7 @@ from .polynomial import (
     _require_name,
     _split,
     _spread,
+    _sum_of_squares,
     _transform,
     check_variable_limit,
     from_point_values,
@@ -110,6 +111,15 @@ class DevelopmentTable(Record):
             raise ValueError("table must have exactly one entry per sigma")
         object.__setattr__(self, "coefficients", MappingProxyType(ordered))
 
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], entries: Iterable[Polynomial]) -> "DevelopmentTable":
+        # Trusted path for tables built here: `variables` are checked and
+        # ascending, and `entries` come one per sigma in index order.
+        self = object.__new__(cls)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(zip(sigma_strings(len(variables)), entries))))
+        return self
+
     def __getitem__(self, sigma: str) -> Polynomial:
         _check_sigma(sigma, len(self.variables))
         return self.coefficients[sigma]
@@ -145,8 +155,7 @@ def develop_partial(
     those variables replaced by the bits of sigma, a polynomial in the
     remaining variables.  Variables absent from p are allowed."""
     names = _limited(eliminated, max_vars)
-    entries = point_polynomials(p, names)
-    return DevelopmentTable(names, dict(zip(sigma_strings(len(names)), entries)))
+    return DevelopmentTable._make(names, point_polynomials(p, names))
 
 
 def develop(
@@ -273,8 +282,7 @@ def _scan(
     # piece fixes the names before the last _PIECE_NAMES; P's values on it
     # are the transform of the coefficients of the monomials it sets to 1.
     bound = sum(map(abs, consequent._table.values()))
-    squares = sum((a * a for a in antecedents), Polynomial.zero())
-    folded = (2 * bound + 1) * squares + consequent
+    folded = (2 * bound + 1) * _sum_of_squares(antecedents) + consequent
     cut = max(0, len(names) - _PIECE_NAMES)
     size = 1 << (len(names) - cut)
     part = defaultdict(list)  # fixed bits -> [(free bits, coefficient)]

@@ -120,19 +120,28 @@ def _decimal(n: int) -> str:
 
 
 def _from_decimal(text: str) -> int:
-    """int(text), exact also for a plain numeral past the interpreter's
-    limit on the digits of a str-to-int conversion."""
+    """The integer a numeral names: an optional sign and the ASCII digits
+    0-9, with whitespace around them allowed.  Exact also past the
+    interpreter's limit on the digits of a str-to-int conversion."""
+    if not isinstance(text, str):
+        raise TypeError(f"numeral {text!r} is not a string")
+    digits = text.strip()
+    negative = digits.startswith("-")
+    digits = digits[negative or digits.startswith("+") :]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}: expected an optional sign and the digits 0-9")
+    return -_digits_value(digits) if negative else _digits_value(digits)
+
+
+def _digits_value(digits: str) -> int:
+    """int(digits) for a nonempty string of the ASCII digits 0-9, exact
+    also past the interpreter's limit on the digits of a str-to-int
+    conversion."""
     try:
-        return int(text)
-    except ValueError:
-        digits = text.strip()
-        negative = digits.startswith("-")
-        digits = digits[negative or digits.startswith("+"):]
-        if len(digits) < 2 or not (digits.isascii() and digits.isdigit()):
-            raise
-    half = len(digits) // 2
-    value = _from_decimal(digits[:-half]) * 10**half + _from_decimal(digits[-half:])
-    return -value if negative else value
+        return int(digits)
+    except ValueError:  # past the digit limit
+        half = len(digits) // 2
+        return _digits_value(digits[:-half]) * 10**half + _digits_value(digits[-half:])
 
 
 def _normalize_monomial(mono: object, valid: set[str]) -> Monomial:
@@ -194,6 +203,14 @@ class Polynomial:
         return self
 
     @classmethod
+    def _constant(cls, value: int) -> "Polynomial":
+        # Trusted path for an int constant: no names, and no table entry
+        # when it is 0.
+        self = object.__new__(cls)
+        self._names, self._table = (), {0: value} if value else {}
+        return self
+
+    @classmethod
     def zero(cls) -> "Polynomial":
         return _ZERO
 
@@ -205,7 +222,7 @@ class Polynomial:
     def constant(cls, value: int) -> "Polynomial":
         if not isinstance(value, int):
             raise TypeError(f"constant {value!r} is not an integer")
-        return Polynomial._make((), {0: int(value)})
+        return Polynomial._constant(int(value))
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -517,6 +534,18 @@ def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
     return table
 
 
+def _sum_of_squares(polys: Sequence[Polynomial]) -> Polynomial:
+    """p1*p1 + ... + pk*pk, Boole's reduction of the equations pi = 0 to
+    one: each square over its own names, added into one table over the
+    union of all of them, so the work is linear in the squares' terms."""
+    names = tuple(sorted({name for p in polys for name in p._names}))
+    table: dict[int, int] = {}
+    for p in polys:
+        square = _product(p._table, p._table)
+        _add_into(table, _move(square, ((1 << len(p._names)) - 1, _bits(names, p._names))), 1)
+    return Polynomial._make(names, table)
+
+
 def _power(table: dict[int, int], exponent: int) -> dict[int, int]:
     # Repeated squaring; an idempotent base is its own power for every
     # positive exponent, and is returned as it is.
@@ -607,8 +636,19 @@ def point_polynomials(p: Polynomial, names: Sequence[str]) -> list[Polynomial]:
     if not groups:
         return [_ZERO] * (1 << len(names))
     rest = tuple(name for name in p._names if name not in names)
+    if not rest:
+        # Constants, one per distinct value: a complete development over
+        # m names takes few distinct values among its 2**m.
+        return list(map(_Constants().__getitem__, groups[0]))
     residuals = list(groups)
     return [Polynomial._make(rest, dict(zip(residuals, values))) for values in zip(*groups.values())]
+
+
+class _Constants(dict):
+    # value -> its constant polynomial, each made once.
+    def __missing__(self, value: int) -> Polynomial:
+        made = self[value] = Polynomial._constant(value)
+        return made
 
 
 def from_point_values(groups: Mapping[int, list[int]], names: Sequence[str], rest: Sequence[str] = ()) -> Polynomial:
@@ -638,8 +678,8 @@ def _dense_product(p: dict[int, int], q: dict[int, int], used: int) -> dict[int,
     return _move(_coefficients(list(map(mul, *vectors))), (size - 1, used))
 
 
-_ZERO = Polynomial._make((), {})
-_ONE = Polynomial._make((), {0: 1})
+_ZERO = Polynomial._constant(0)
+_ONE = Polynomial._constant(1)
 
 ZERO: Polynomial = _ZERO
 ONE: Polynomial = _ONE

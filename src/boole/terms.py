@@ -29,7 +29,7 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from ._record import Record, _set
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _bits, _decimal, _from_decimal, _power, _product, _require_name
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _bits, _decimal, _digits_value, _power, _product, _require_name
 
 __all__ = [
     "Add",
@@ -323,7 +323,7 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             start = i
             while i < n and text[i] in _DIGITS:
                 i += 1
-            tokens.append(("INT", _from_decimal(text[start:i]), start))
+            tokens.append(("INT", _digits_value(text[start:i]), start))
         elif ch in _LETTERS:
             start = i
             while i < n and text[i] in _NAME_CHARACTERS:

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from ._record import Record
 from .development import _limited, develop_partial
-from .polynomial import ONE, ZERO, Polynomial, _require_name, from_point_values, point_values
+from .polynomial import ONE, ZERO, Polynomial, _require_name, _sum_of_squares, from_point_values, point_values
 
 __all__ = ["Solution", "eliminate", "reduce_system", "solve"]
 
@@ -38,10 +38,7 @@ def reduce_system(system: Iterable[Polynomial]) -> Polynomial:
     polys = list(system)
     if not polys:
         raise ValueError("cannot reduce an empty equation system")
-    total = ZERO
-    for p in polys:
-        total = total + p * p
-    return total
+    return _sum_of_squares(polys)
 
 
 def eliminate(

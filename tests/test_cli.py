@@ -6,6 +6,8 @@ parse error.
 """
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -196,10 +198,24 @@ def test_huge_class_element_is_outside_the_universe(capsys):
         ("--classes", "U=2; x={0,}", "bad element in assignment entry 'x={0,}'"),
         ("--multisets", "U=2; x=[1,]", "bad element in assignment entry 'x=[1,]'"),
         ("--classes", "U=2; y={}; x={ 0 , a }", "bad element in assignment entry 'x={ 0 , a }'"),
+        # numbers are an optional sign and the ASCII digits 0-9
+        ("--multisets", "U=2; x=[\u0661,1_000]", "bad element in assignment entry 'x=[\u0661,1_000]'"),
+        ("--multisets", "U=2; x=[1_0,1]", "bad element in assignment entry 'x=[1_0,1]'"),
+        ("--classes", "U=2; x={\u0661}", "bad element in assignment entry 'x={\u0661}'"),
+        (
+            "--multisets",
+            "U=\u0662; x=[1,0]",
+            "bad universe size: invalid integer '\u0662': expected an optional sign and the digits 0-9",
+        ),
+        ("--classes", "U=1_0; x={0}", "bad universe size: invalid integer '1_0': expected an optional sign and the digits 0-9"),
     ],
 )
 def test_repeated_or_malformed_assignment_entries(capsys, option, spec, message):
     assert run(capsys, "eval", "x", option, spec) == (2, "", f"error: {message}\n")
+
+
+def test_assignment_numbers_may_have_spaces_and_a_sign(capsys):
+    assert run(capsys, "eval", "x", "--multisets", " U = 2 ; x=[ +1 , -0 ]") == (0, "[1, 0]\n", "")
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -310,6 +326,13 @@ def test_json_polynomial_encoding_is_canonical():
     assert poly_from_json([]) == poly("0")
 
 
+def test_json_coefficients_are_ascii_numerals():
+    assert poly_from_json([{"monomial": ["x"], "coefficient": " -12 "}]) == poly("-12*x")
+    for numeral in (" \u0661\u0662 ", "1_000", "12.0", ""):
+        with pytest.raises(ValueError, match="invalid integer"):
+            poly_from_json([{"monomial": [], "coefficient": numeral}])
+
+
 def test_json_round_trips_a_bool_constant():
     # True is an int; stored as such it would print as "True", which
     # poly_from_json rejects.
@@ -386,6 +409,46 @@ def test_json_eval(capsys):
     assert json.loads(out) == {"defined": True, "subset": [0, 1]}
     code, out, _ = run(capsys, "eval", "x + y", "--multisets", "U=2; x=[1,0]; y=[1,1]", "--format", "json")
     assert json.loads(out) == {"values": ["2", "1"]}
+
+
+# ----------------------------------------------------------------------
+# The README's CLI block: every ``boole ...  # -> output`` line runs as
+# documented.  " / " separates output lines, "..." stands for any text,
+# and a trailing "(exit N)" gives the exit code, 0 otherwise.
+
+
+def readme_cli_examples():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    examples = []
+    for line in block.splitlines():
+        command, arrow, documented = line.partition("# -> ")
+        if not arrow:
+            continue
+        documented = re.sub(r"\s*\(one per line\)$", "", documented.strip())
+        code = re.search(r"\s*\(exit (\d)\)$", documented)
+        if code:
+            documented = documented[: code.start()]
+        argv = shlex.split(command)
+        assert argv[0] == "boole"
+        examples.append(
+            pytest.param(argv[1:], documented.split(" / "), int(code.group(1)) if code else 0, id=command.strip())
+        )
+    return examples
+
+
+def test_readme_cli_block_is_annotated():
+    assert len(readme_cli_examples()) == 11
+
+
+@pytest.mark.parametrize("argv, lines, exit_code", readme_cli_examples())
+def test_readme_cli_examples(capsys, argv, lines, exit_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "")
+    shown = out.splitlines()
+    assert len(shown) == len(lines)
+    for got, want in zip(shown, lines):
+        assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
 
 
 # ----------------------------------------------------------------------

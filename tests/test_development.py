@@ -213,6 +213,24 @@ def test_table_validation():
         table.coefficients["0"] = ONE  # type: ignore[index]
 
 
+@given(polynomials, st.sets(st.sampled_from(VAR_NAMES)))
+def test_built_tables_match_the_validating_constructor(p, extra):
+    # develop and develop_partial build their tables on a trusted path;
+    # the validating constructor, handed the same entries in reverse,
+    # must give the same table in the same sigma order.
+    for table in (develop(p, set(p.variables()) | extra), develop_partial(p, extra)):
+        entries = list(table.coefficients.items())
+        rebuilt = DevelopmentTable(table.variables, dict(reversed(entries)))
+        assert table == rebuilt
+        assert list(table.coefficients) == list(rebuilt.coefficients) == list(sigma_strings(len(table.variables)))
+        oracle = oracle_develop_partial(p, table.variables)
+        for sigma, coeff in entries:
+            # canonical (a 0 entry has an empty table), as rebuilt from its terms
+            assert coeff == Polynomial(dict(coeff.terms)) == oracle[sigma]
+        with pytest.raises(TypeError):
+            table.coefficients["0"] = ONE  # type: ignore[index]
+
+
 @given(polynomials)
 def test_develop_from_table_bijection(p):
     assert from_table(develop(p)) == p

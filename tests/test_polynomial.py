@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import boole.polynomial
 from boole import ONE, ZERO, Polynomial, variables
-from boole.polynomial import _bits, _dense_product, _spread
+from boole.polynomial import _bits, _dense_product, _from_decimal, _spread
 from boole.terms import poly
 from conftest import WIDE_NAMES, oracle_product, polynomials, wide_polynomials, zero_one_points
 
@@ -116,6 +116,19 @@ def test_product_flattens_exponents():
     assert x * x == x
     assert ONE * (x + y - 2 * x * y) == x + y - 2 * x * y
     assert ZERO * x == ZERO
+
+
+def test_numerals_are_a_sign_and_ascii_digits():
+    assert _from_decimal(" 12 ") == 12
+    assert _from_decimal("\t-7\n") == -7
+    assert _from_decimal("+0") == 0
+    numeral = "9" * 5000  # past the interpreter's 4300-digit limit
+    assert _from_decimal(f" -{numeral} ") == -(10**5000 - 1)
+    for text in ("\u0661", " \u0661\u0662 ", "1\u0662", "\uff11", "1_000", "", "-", "+-1", "1 2", "0x1", "1.0", "2" * 5000 + "_"):
+        with pytest.raises(ValueError, match="invalid integer"):
+            _from_decimal(text)
+    with pytest.raises(TypeError):
+        _from_decimal(12)  # type: ignore[arg-type]
 
 
 def test_int_coercion():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boole import ONE, ZERO, Polynomial, theorems, variables
+from boole import ONE, ZERO, Polynomial, polynomial, theorems, variables
 from boole.development import develop, sigma_assignment, sigma_strings
 from boole.polynomial import VariableLimitError
 from boole.theorems import Solution, eliminate, reduce_system, solve
-from conftest import WIDE_NAMES, oracle_solve, random_polynomial, zero_one_points
+from conftest import WIDE_NAMES, oracle_solve, random_polynomial, wide_polynomials, zero_one_points
 
 x, y, z = variables("x, y, z")
 
@@ -39,6 +39,50 @@ def test_reduction_preserves_zero_sets():
         for env in zero_one_points(names):
             all_zero = all(p.evaluate(env) == 0 for p in system)
             assert (reduced.evaluate(env) == 0) == all_zero
+
+
+@given(st.lists(wide_polynomials, min_size=1, max_size=6))
+def test_reduce_system_matches_the_running_sum(system):
+    total = ZERO
+    for p in system:
+        total = total + p * p
+    reduced = reduce_system(system)
+    assert reduced == total
+    assert (reduced._names, reduced._table) == (total._names, total._table)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_reduce_system_work_is_linear_in_the_equations(monkeypatch, order):
+    # Count the table entries that reach the polynomial constructor or
+    # are re-keyed: a running total re-made (and, with names arriving in
+    # ascending order, re-keyed) per equation makes the count quadratic
+    # in the number of equations, so doubling them would quadruple it.
+    handled = []
+    make, move = Polynomial._make.__func__, polynomial._move
+
+    def counted_make(cls, names, table):
+        handled.append(len(table))
+        return make(cls, names, table)
+
+    def counted_move(table, *pairs):
+        handled.append(len(table))
+        return move(table, *pairs)
+
+    def work(count):
+        names = [f"x{i:04d}" for i in range(count)]
+        system = [Polynomial.variable(name) - 1 for name in names]
+        if order == "descending":
+            system.reverse()
+        # each (x - 1)^2 is 1 - x
+        expected = Polynomial({(): count, **{(name,): -1 for name in names}})
+        with monkeypatch.context() as patch:
+            patch.setattr(Polynomial, "_make", classmethod(counted_make))
+            patch.setattr(polynomial, "_move", counted_move)
+            handled.clear()
+            assert reduce_system(system) == expected
+        return sum(handled)
+
+    assert work(400) <= 2.1 * work(200)
 
 
 # ----------------------------------------------------------------------
