@@ -34,8 +34,8 @@ def reduce_system(system: Iterable[Polynomial]) -> Polynomial:
     """Collapse the equations p = 0 of a nonempty system into the single
     equivalent equation sum of p*p = 0.  The raw sum of squares is
     returned untouched; apply interpretable_core for the idempotent
-    form."""
-    polys = list(system)
+    form.  An int in the system is the constant equation it names."""
+    polys = [p if isinstance(p, Polynomial) else Polynomial.constant(p) for p in system]
     if not polys:
         raise ValueError("cannot reduce an empty equation system")
     return _sum_of_squares(polys)

@@ -331,6 +331,11 @@ def test_json_coefficients_are_ascii_numerals():
     for numeral in (" \u0661\u0662 ", "1_000", "12.0", ""):
         with pytest.raises(ValueError, match="invalid integer"):
             poly_from_json([{"monomial": [], "coefficient": numeral}])
+    # A JSON number is its own value; other JSON values are no numeral.
+    assert poly_from_json([{"monomial": [], "coefficient": -2}]) == poly("-2")
+    for value in (2.0, True, None):
+        with pytest.raises(TypeError, match="neither a string nor an int"):
+            poly_from_json([{"monomial": [], "coefficient": value}])
 
 
 def test_json_round_trips_a_bool_constant():

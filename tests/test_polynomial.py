@@ -127,8 +127,10 @@ def test_numerals_are_a_sign_and_ascii_digits():
     for text in ("\u0661", " \u0661\u0662 ", "1\u0662", "\uff11", "1_000", "", "-", "+-1", "1 2", "0x1", "1.0", "2" * 5000 + "_"):
         with pytest.raises(ValueError, match="invalid integer"):
             _from_decimal(text)
-    with pytest.raises(TypeError):
-        _from_decimal(12)  # type: ignore[arg-type]
+    assert _from_decimal(12) == 12  # a JSON number
+    for value in (12.0, True, None, b"12"):
+        with pytest.raises(TypeError):
+            _from_decimal(value)  # type: ignore[arg-type]
 
 
 def test_int_coercion():

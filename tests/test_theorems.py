@@ -41,8 +41,9 @@ def test_reduction_preserves_zero_sets():
             assert (reduced.evaluate(env) == 0) == all_zero
 
 
-@given(st.lists(wide_polynomials, min_size=1, max_size=6))
+@given(st.lists(wide_polynomials | st.integers(-3, 3), min_size=1, max_size=6))
 def test_reduce_system_matches_the_running_sum(system):
+    # An int in the system is the constant equation it names.
     total = ZERO
     for p in system:
         total = total + p * p
