@@ -4,12 +4,12 @@ Conventions, fixed once and used everywhere:
 
 * variable lists are sorted ascending by name, the one global order;
 * a sigma is a string over {0, 1} whose i-th character belongs to the
-  i-th variable of the (sorted) list;
+  i-th variable of the (sorted) list; inside this module a 0/1 point is
+  its index, the sigma read in binary (bit m-1-i for the i-th variable,
+  the value kernel's convention), and only ``sigma_strings`` and
+  ``_index`` make and read sigmas, but for ``least_point``'s answer;
 * tables hold all 2**m entries and iterate in binary counting order
-  (00, 01, 10, 11, ...);
-* a sigma read as a binary number is the index of its point: bit m-1-i
-  belongs to the i-th variable, the convention of the value kernel in
-  ``polynomial``.
+  (00, 01, 10, 11, ...).
 
 Over variables x1 < ... < xm the constituent of a sigma is the product
 of xi where the bit is 1 and (1 - xi) where it is 0.  Constituents are
@@ -64,15 +64,15 @@ def sigma_strings(count: int) -> Iterator[str]:
 
 def sigma_assignment(sigma: str, variables: Sequence[str]) -> dict[str, int]:
     """The 0/1 assignment a sigma denotes over a sorted variable list."""
-    _check_sigma(sigma, len(variables))
-    return {name: int(bit) for name, bit in zip(variables, sigma)}
+    index = _index(sigma, len(variables))
+    return {name: index >> shift & 1 for name, shift in zip(variables, reversed(range(len(variables))))}
 
 
-def _check_sigma(sigma: str, length: int) -> None:
+def _index(sigma: str, length: int) -> int:
+    # The index of a sigma over `length` names ("0" reads "" as 0).
     if len(sigma) != length or any(bit not in "01" for bit in sigma):
-        raise ValueError(
-            f"sigma {sigma!r} is not a 0/1 string of length {length}"
-        )
+        raise ValueError(f"sigma {sigma!r} is not a 0/1 string of length {length}")
+    return int("0" + sigma, 2)
 
 
 def _check_variables(variables: Iterable[str]) -> tuple[str, ...]:
@@ -121,7 +121,7 @@ class DevelopmentTable(Record):
         return self
 
     def __getitem__(self, sigma: str) -> Polynomial:
-        _check_sigma(sigma, len(self.variables))
+        _index(sigma, len(self.variables))
         return self.coefficients[sigma]
 
     def items(self) -> Iterator[tuple[str, Polynomial]]:
@@ -139,9 +139,8 @@ def constituent(sigma: str, variables: Sequence[str]) -> Polynomial:
     """The product over the variable list of x (bit 1) or 1 - x (bit 0):
     the polynomial that is 1 at sigma and 0 at every other point."""
     names = _check_variables(variables)
-    _check_sigma(sigma, len(names))
     one_hot = [0] * (1 << len(names))
-    one_hot[int(sigma, 2) if sigma else 0] = 1
+    one_hot[_index(sigma, len(names))] = 1
     return from_point_values({0: one_hot}, names)
 
 
@@ -176,10 +175,10 @@ def from_table(table: DevelopmentTable) -> Polynomial:
     names = table.variables
     rest = sorted({name for coeff in table.coefficients.values() for name in coeff.variables()} - set(names))
     groups: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (1 << len(names)))
-    for index, (sigma, coeff) in enumerate(table.items()):
-        # times the constituent of sigma, a table variable is its bit
+    for index, coeff in enumerate(table.coefficients.values()):
+        # times the constituent of its point, a table variable is its bit
         for name in set(coeff.variables()).intersection(names):
-            coeff = coeff.substitute(name, int(sigma[names.index(name)]))
+            coeff = coeff.substitute(name, index >> (len(names) - 1 - names.index(name)) & 1)
         for residual, value in _spread(coeff, rest).items():
             groups[residual][index] = value
     return from_point_values(groups, names, rest)
@@ -240,41 +239,40 @@ def least_point(
     restrictions in all.  Otherwise, once at most 17 variables are free,
     the subcube is scanned in order, the sentence folded into one
     polynomial: at worst 2**(n-17) scans of 131072 points."""
-    stack = [("", consequent, antecedents)]
+    stack = [(1, consequent, antecedents)]  # a leading 1, then the bits fixed
     while stack:
-        prefix, p, conditions = stack.pop()
+        fixed, p, conditions = stack.pop()
         conditions = [a for a in conditions if a]
         if not p or any(a.is_constant() for a in conditions):
             continue
-        rest = names[len(prefix) :]
-        if not conditions:
-            return _walk(p, rest, prefix)
-        if len(rest) > _SCAN_NAMES:
+        rest = names[fixed.bit_length() - 1 :]
+        if conditions and len(rest) > _SCAN_NAMES:
             halves = [_split(q, rest[0]) for q in (p, *conditions)]
             for bit in (1, 0):
                 at = [low + high if bit else low for low, high in halves]
-                stack.append((prefix + str(bit), at[0], at[1:]))
+                stack.append((fixed << 1 | bit, at[0], at[1:]))
             continue
-        found = _scan(p, conditions, rest)
+        found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
         if found is not None:
-            return prefix + found[0], found[1]
+            # the leading 1 keeps the sigma's leading zeros
+            return format(fixed << len(rest) | found[0], "b")[1:], found[1]
     return None
 
 
-def _walk(p: Polynomial, names: Sequence[str], sigma: str) -> tuple[str, int]:
-    # The least point over `names` where p, a nonzero polynomial, is not 0,
-    # after the bits already in `sigma`, and p's value there.
+def _walk(p: Polynomial, names: Sequence[str]) -> tuple[int, int]:
+    # The least point over `names` where p, nonzero, is not 0; p's value there.
+    index = 0
     for name in names:
         low, high = _split(p, name)
-        sigma += "0" if low else "1"
+        index = index << 1 | (0 if low else 1)
         p = low or high
-    return sigma, p.constant_value()
+    return index, p.constant_value()
 
 
 def _scan(
     consequent: Polynomial, antecedents: Sequence[Polynomial], names: Sequence[str]
-) -> tuple[str, int] | None:
-    # The least sigma over `names` where every antecedent is 0 and the
+) -> tuple[int, int] | None:
+    # The least point over `names` where every antecedent is 0 and the
     # consequent c is not, and c's value there, found as the least point
     # where P = (2B+1)*(sum of the antecedents' squares) + c has
     # 0 < |P| <= B, for B the sum of |c|'s coefficients: P is c, so |P| <= B,
@@ -297,8 +295,7 @@ def _scan(
         _transform(values, add)
         if min(map(abs, filter(None, values)), default=bound + 1) <= bound:
             index, value = next((i, v) for i, v in enumerate(values) if 0 < abs(v) <= bound)
-            index += piece * size
-            return "".join(str(index >> i & 1) for i in reversed(range(len(names)))), value
+            return piece * size + index, value
     return None
 
 
@@ -349,4 +346,4 @@ def _covering(p: Polynomial, variables: Iterable[str] | None) -> Iterable[str]:
 def _values(p: Polynomial, variables: Iterable[str] | None, max_vars: int | None):
     # The complete development as (variables, value vector).
     names = _limited(_covering(p, variables), max_vars)
-    return names, point_values(p, names).get(0, [0] * (1 << len(names)))
+    return names, point_values(p, names)[0]

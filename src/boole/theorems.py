@@ -55,7 +55,7 @@ def eliminate(
     exactly when some 0/1 choice for the eliminated variables makes p
     vanish."""
     table = develop_partial(p, variables, max_vars=max_vars)
-    return _fold(lambda acc, item: acc * item[1], table.items(), ONE)
+    return _fold(mul, table.coefficients.values(), ONE)
 
 
 class Solution(Record):
@@ -106,7 +106,7 @@ def solve(p: Polynomial, unknown: str, *, max_vars: int | None = None) -> Soluti
     # The terms without the unknown give p at unknown = 0; adding those
     # with it (there are some) gives p at unknown = 1.
     groups = point_values(p, params)
-    at_zero = groups.get(0, [0] * (1 << len(params)))
+    at_zero = groups[0]
     at_one = list(map(add, at_zero, groups[1]))
     return Solution(
         unknown=unknown,

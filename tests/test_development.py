@@ -19,7 +19,7 @@ from boole.development import (
     sigma_assignment,
     sigma_strings,
 )
-from boole.polynomial import VariableLimitError
+from boole.polynomial import VariableLimitError, point_values
 from boole.terms import poly
 from boole.theorems import solve
 from conftest import (
@@ -59,6 +59,19 @@ def test_sigma_assignment():
         sigma_assignment("2", ("x",))
     with pytest.raises(ValueError):
         sigma_assignment("01", ("x",))
+
+
+@pytest.mark.parametrize(
+    "sigma, names",
+    [("2", ("x",)), ("0 ", ("x", "y")), ("0 ", ("x",)), ("", ("x",)), ("010", ("x", "y"))],
+)
+def test_malformed_sigmas_are_refused_everywhere(sigma, names):
+    message = f"sigma {sigma!r} is not a 0/1 string of length {len(names)}"
+    table = develop(ONE, names)
+    for read in (sigma_assignment, constituent, lambda s, _: table[s]):
+        with pytest.raises(ValueError) as refused:
+            read(sigma, names)
+        assert str(refused.value) == message
 
 
 # ----------------------------------------------------------------------
@@ -292,6 +305,9 @@ def test_equality_by_development():
     assert equal_by_development(x * (x + y - x * y), x)
     assert not equal_by_development(x + y, x + y - x * y)
     assert first_difference(x + y, x + y - x * y) == "11"
+    # no names at all, and a walk made only of ones
+    assert first_difference(ONE, ZERO) == ""
+    assert first_difference(Polynomial({tuple(f"x{i:02d}" for i in range(20)): 1}), ZERO) == "1" * 20
     p = poly("z*(1 - z) + x")
     assert equal_by_development(p, p)
 
@@ -351,6 +367,12 @@ def test_constituent_equations():
 
 # ----------------------------------------------------------------------
 # The value kernel against substitution and constituent sums
+
+
+def test_point_values_always_give_the_residual_0_vector():
+    assert point_values(ZERO, ("x", "y")) == {0: [0, 0, 0, 0]}
+    assert point_values(x * z, ("x", "y")) == {0: [0, 0, 0, 0], 1: [0, 0, 1, 1]}
+
 
 name_lists = st.lists(st.sampled_from(WIDE_NAMES + ("a",)), max_size=4)
 # The oracles are quadratic in 2**m.

@@ -216,12 +216,15 @@ def test_dense_product_matches_pairwise(p, q):
 @pytest.mark.parametrize(
     "p, q, dense",
     [
-        (full(4), full(4), True),  # 256 pairs > 4 * 2**4
-        (full(5), full(3), True),  # 256 pairs > 5 * 2**5
-        (full(5), full(2), False),  # 128 pairs < 5 * 2**5
-        (full(2), 1 + Polynomial.variable("x0"), False),  # 8 pairs = 2 * 2**2
-        (full(4), 1 - x - y, False),  # 48 pairs < 6 * 2**6
+        (full(4), full(4), True),  # 256 pairs > 4 * 2**4 + 64
+        (full(5), full(3), True),  # 256 pairs > 5 * 2**5 + 64
+        (full(5), full(2), False),  # 128 pairs < 5 * 2**5 + 64
+        (full(2), 1 + Polynomial.variable("x0"), False),  # 8 pairs < 2 * 2**2 + 64
+        (full(4), 1 - x - y, False),  # 48 pairs < 6 * 2**6 + 64
         (full(4), x, False),
+        # past n*2**n, but under the vector path's fixed cost of 64 pairs
+        (x - 1, x - 1, False),  # 4 pairs > 1 * 2**1
+        (x + y - 1, x + y - 1, False),  # 9 pairs > 2 * 2**2
     ],
 )
 def test_product_takes_the_dense_path_exactly_past_n_2n(monkeypatch, p, q, dense):

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings
 import boole.development
 import boole.polynomial
 from boole import Polynomial, variables
-from boole.development import develop, equal_by_development, first_difference
+from boole.development import develop, equal_by_development, first_difference, least_point
 from boole.models import Universe, chi, eval_multiset, holds_in_idempotents
-from boole.polynomial import ONE, VariableLimitError, check_variable_limit
+from boole.polynomial import ONE, ZERO, VariableLimitError, check_variable_limit
 from boole.r01 import HornSentence, check_equation, check_r01, parse_horn
 from boole.terms import ParseError, poly, to_term
 from conftest import horn_sentences, oracle_check_r01, random_polynomial
@@ -88,6 +88,19 @@ def test_witness_is_lexicographically_least():
     verdict = check_equation(x - y)
     assert dict(verdict.witness) == {"x": 0, "y": 1}
     assert verdict.consequent_value == -1
+
+
+@pytest.mark.parametrize("count", [18, 19])
+def test_witness_fixed_by_a_split_keeps_its_leading_zeros(count):
+    # Past 17 names the search splits on x00 (and x01) before it scans,
+    # so x00 = 0 is fixed by a split, not by the scan.
+    names = tuple(f"x{i:02d}" for i in range(count))
+    first, second, *middle, last = (Polynomial.variable(name) for name in names)
+    sentence = HornSentence((sum(middle, ZERO), last - 1), second - first * second)
+    sigma = "01" + "0" * (count - 3) + "1"
+    assert least_point(sentence.consequent, sentence.antecedents, names) == (sigma, 1)
+    verdict = check_r01(sentence)
+    assert "".join(str(verdict.witness[name]) for name in names) == sigma
 
 
 def test_check_equation_examples():
