@@ -15,21 +15,25 @@ Whitespace is insignificant.  ``*`` is mandatory: juxtaposition like
 tighter than ``*``, which binds tighter than ``+``/``-``; the binary
 operators associate to the left.  Parse errors carry byte offsets.
 
-Compiling, printing, translating to sets, evaluating and collecting
-variables are all folds over the tree, and all run on the one iterative
-fold below; the parser is a loop with an explicit stack, and nodes
-compare, hash and print with stacks of their own.  Every traversal is
-iterative, with no depth limit: a term may be as long and as deeply
-nested as memory allows.
+The parser is one loop with an explicit stack that hands each complete
+subterm to a builder for its operator: node constructors for ``parse``,
+and for ``poly`` emitters of flat postfix code, ``(op, payload)`` pairs
+with children before parents.  One compiler turns postfix code into a
+polynomial; ``term_to_poly`` compiles a tree's postorder as the same
+code, so compiled text never becomes a tree.  Printing, translating to
+sets, evaluating and collecting variables are folds over the tree, all on
+the one iterative fold below, and nodes compare, hash and print with
+stacks of their own.  Every traversal is iterative, with no depth limit:
+a term may be as long and as deeply nested as memory allows.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from ._record import Record, _set
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _bits, _decimal, _digits_value, _power, _product, _require_name
+from .polynomial import ONE, ZERO, Polynomial, _add_into, _decimal, _digits_value, _power, _product, _require_name
 
 __all__ = [
     "Add",
@@ -343,15 +347,22 @@ def _int_term(value: int) -> Term:
     return IntLit(value)
 
 
-def parse(text: str) -> Term:
-    """Parse concrete syntax into a Term; raises ParseError with a byte
-    offset on bad input."""
+def _read(text: str, build: tuple) -> object:
+    """Read `text` by the grammar, handing each subterm, once complete, to
+    the builder for its operator in `build`: ``number(value)``,
+    ``name(name)``, ``power(base, exponent)``, ``times(left, right)``,
+    ``neg(operand)``, ``plus(left, right)`` and ``minus(left, right)``.
+    The builders run children first and left before right, in postfix
+    order; what each returns, which must not be None, stands for its
+    subterm, and the root's is returned.  Raises ParseError with a byte
+    offset on bad input, before building anything past the error."""
+    number, name, power, times, neg, plus, minus = build
     tokens = _tokenize(text)
     # The expression being read is its sum so far, the operator that joins
     # the next product to it, the product so far, and whether a leading
     # minus still waits for the first product.  An open parenthesis saves
     # the enclosing expression's state and starts afresh.
-    frames: list[tuple[Term | None, str, Term | None, bool]] = []
+    frames: list[tuple[object, str, object, bool]] = []
     total, op, product, negate = None, "+", None, tokens[0][0] == "-"
     pos = int(negate)
     while True:
@@ -364,9 +375,9 @@ def parse(text: str) -> Term:
             pos += negate
             continue
         if kind == "INT":
-            node: Term = _int_term(value)  # type: ignore[arg-type]
+            node = number(value)
         elif kind == "IDENT":
-            node = Var(value)  # type: ignore[arg-type]
+            node = name(value)
         else:
             raise ParseError("expected a number, a variable or '('", position)
         # A complete factor; it may complete the product, the sum and the
@@ -378,15 +389,15 @@ def parse(text: str) -> Term:
                     raise ParseError("expected an integer exponent after '^'", position)
                 if value == 0:
                     raise ParseError("exponent must be at least 1", position)
-                node = Pow(node, value)  # type: ignore[arg-type]
+                node = power(node, value)
                 pos += 2
-            product = node if product is None else Mul(product, node)
+            product = node if product is None else times(product, node)
             kind, _, position = tokens[pos]
             if kind == "*":
                 break
             if negate:
-                product, negate = Neg(product), False
-            total = product if total is None else (Add if op == "+" else Sub)(total, product)
+                product, negate = neg(product), False
+            total = product if total is None else (plus if op == "+" else minus)(total, product)
             product = None
             if kind == "+" or kind == "-":
                 op = kind
@@ -401,6 +412,15 @@ def parse(text: str) -> Term:
             total, op, product, negate = frames.pop()
             pos += 1
         pos += 1
+
+
+_TREE = (_int_term, Var, Pow, Mul, Neg, Add, Sub)
+
+
+def parse(text: str) -> Term:
+    """Parse concrete syntax into a Term; raises ParseError with a byte
+    offset on bad input."""
+    return _read(text, _TREE)  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
@@ -448,12 +468,52 @@ def format_term(term: Term, compact: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Compilation to polynomials
 #
-# Every value is a sign and a coefficient table of the node's own, the
-# value being the sign times the table, keyed by monomial masks over the
-# term's variables as in ``polynomial``.  Unary minus flips the sign, + and
-# - add the smaller table into the larger, and * and ^ run the
-# polynomial kernel's product and power; the root's table becomes the
-# polynomial, and nothing is sorted.
+# Both text and trees compile through postfix code: a flat list of
+# (op, payload) pairs, children before parents and a left operand before
+# the right one.  The ops are "var" with a name, "int" with a nonnegative
+# value, "^" with an exponent, and "*", "neg", "+" and "-" with no payload.
+# `poly` has the parser emit the code, so text never becomes a tree;
+# `term_to_poly` reads it off the tree's postorder.
+#
+# The compiler keeps a stack of values, each a sign and a coefficient
+# table of its own, the value being the sign times the table, keyed by
+# monomial masks over the code's variables as in ``polynomial``.  Unary
+# minus flips the sign, + and - add the smaller table into the larger, and
+# * and ^ run the polynomial kernel's product and power; the root's table
+# becomes the polynomial, and nothing is sorted.
+
+
+def _code_builders(code: list) -> tuple:
+    # Builders for _read that append the code to `code`, each returning its
+    # op to stand for the subterm.
+    emit = code.append
+
+    def combine(op: str) -> Callable:
+        entry = (op, None)
+        return lambda *operands: emit(entry) or op
+
+    return (
+        lambda value: emit(("int", value)) or "int",
+        lambda name: emit(("var", name)) or "var",
+        lambda base, exponent: emit(("^", exponent)) or "^",
+        combine("*"),
+        combine("neg"),
+        combine("+"),
+        combine("-"),
+    )
+
+
+_TREE_CODE: dict[type, Callable] = {
+    Var: lambda node: ("var", node.name),
+    Zero: lambda node: ("int", 0),
+    One: lambda node: ("int", 1),
+    IntLit: lambda node: ("int", node.value),
+    Add: lambda node: ("+", None),
+    Sub: lambda node: ("-", None),
+    Mul: lambda node: ("*", None),
+    Neg: lambda node: ("neg", None),
+    Pow: lambda node: ("^", node.exponent),
+}
 
 
 def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[int, dict]:
@@ -465,33 +525,54 @@ def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[in
     return rsign, _add_into(rtable, ltable, lsign * rsign)
 
 
-def _compile_visits(names: tuple[str, ...]) -> dict[type, Callable]:
-    return {
-        Var: lambda node: (1, {_bits(names, (node.name,)): 1}),
-        Zero: lambda node: (1, {}),
-        One: lambda node: (1, {0: 1}),
-        IntLit: lambda node: (1, {0: node.value}),
-        Add: lambda node, left, right: _sum(left, right, 1),
-        Sub: lambda node, left, right: _sum(left, right, -1),
-        Neg: lambda node, operand: (-operand[0], operand[1]),
-        Mul: lambda node, left, right: (left[0] * right[0], _product(left[1], right[1])),
-        Pow: lambda node, base: (base[0] if node.exponent & 1 else 1, _power(base[1], node.exponent)),
-    }
-
-
-def term_to_poly(term: Term) -> Polynomial:
-    """Compile a term to its canonical polynomial (powers computed with
-    the flattening product, so idempotence of variables is built in)."""
-    names = term_variables(term)
-    sign, table = _fold(term, _compile_visits(names))
+def _compile(code: list[tuple[str, Any]]) -> Polynomial:
+    # The polynomial of postfix code, over the names it mentions.
+    names = tuple(sorted({payload for op, payload in code if op == "var"}))
+    bit = {name: 1 << i for i, name in enumerate(reversed(names))}
+    stack: list[tuple[int, dict]] = []
+    push, pop = stack.append, stack.pop
+    for op, payload in code:
+        if op == "var":
+            push((1, {bit[payload]: 1}))
+        elif op == "+" or op == "-":
+            right = pop()
+            stack[-1] = _sum(stack[-1], right, 1 if op == "+" else -1)
+        elif op == "*":
+            (rsign, rtable), (lsign, ltable) = pop(), stack[-1]
+            stack[-1] = lsign * rsign, _product(ltable, rtable)
+        elif op == "int":
+            push((1, {0: payload} if payload else {}))
+        elif op == "^":
+            sign, table = stack[-1]
+            stack[-1] = sign if payload & 1 else 1, _power(table, payload)
+        else:  # "neg"
+            sign, table = stack[-1]
+            stack[-1] = -sign, table
+    sign, table = stack[0]
     if sign < 0:
         table = {mask: -coeff for mask, coeff in table.items()}
     return Polynomial._make(names, table)
 
 
+def term_to_poly(term: Term) -> Polynomial:
+    """Compile a term to its canonical polynomial (powers computed with
+    the flattening product, so idempotence of variables is built in)."""
+    code: list = []
+    for node in _postorder(term):
+        entry = _TREE_CODE.get(type(node))
+        if entry is None:
+            raise TypeError(f"unexpected {type(node).__name__}: {node!r}")
+        code.append(entry(node))
+    return _compile(code)
+
+
 def poly(text: str) -> Polynomial:
-    """Parse and compile in one step: ``poly("x + y - 2*x*y")``."""
-    return term_to_poly(parse(text))
+    """Parse and compile in one step: ``poly("x + y - 2*x*y")``.  The
+    parser emits postfix code and builds no tree, and the whole text is
+    read before anything is compiled."""
+    code: list = []
+    _read(text, _code_builders(code))
+    return _compile(code)
 
 
 def to_term(p: Polynomial) -> Term:

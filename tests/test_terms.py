@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
 
 from boole import ONE, ZERO, Polynomial, variables
+from boole.r01 import parse_horn
 from boole.terms import (
     Add,
     IntLit,
@@ -84,10 +86,11 @@ def test_whitespace_is_insignificant():
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
-    with pytest.raises(ParseError) as excinfo:
-        parse(text)
-    assert excinfo.value.position == offset
-    assert f"offset {offset}" in str(excinfo.value)
+    for read in (parse, poly):
+        with pytest.raises(ParseError) as excinfo:
+            read(text)
+        assert excinfo.value.position == offset
+        assert f"offset {offset}" in str(excinfo.value)
 
 
 def test_no_juxtaposition_multiplication():
@@ -95,6 +98,24 @@ def test_no_juxtaposition_multiplication():
         parse("x(x + y)")
     with pytest.raises(ParseError):
         parse("2 x")
+
+
+# (x0 + ... + x19)^20 multiplied out has 2^20 monomials; the stray ")" is
+# at offset 113.
+COSTLY_THEN_BAD = "(" + " + ".join(f"x{i}" for i in range(20)) + ")^20 )"
+
+
+def test_whole_text_is_read_before_compiling():
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as excinfo:
+        poly(COSTLY_THEN_BAD)
+    assert (excinfo.value.message, excinfo.value.position) == ("unexpected trailing input", 113)
+    sentence = f"x0 = 1 -> {COSTLY_THEN_BAD} = 0"
+    with pytest.raises(ParseError) as excinfo:
+        parse_horn(sentence)
+    shifted = sentence.index(COSTLY_THEN_BAD) + 113
+    assert (excinfo.value.message, excinfo.value.position) == ("unexpected trailing input", shifted)
+    assert time.perf_counter() - start < 1
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The term traversals against their recursive definitions, and on inputs
 far deeper than Python's recursion limit.
 
-Every traversal of a Term or SetExpr runs on one iterative fold.  The
+Every traversal of a Term or SetExpr runs on one iterative fold, except
+compiling, which runs the postfix code that the parser emits for text and
+that a tree's postorder gives for a tree through one compiler.  The
 oracles in conftest are the direct recursions; here they are compared
 result for result and error for error, including where a unary minus
 sits inside a product, a sum or a power (set translation rejects a unary
@@ -16,6 +18,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import boole.polynomial
+import boole.terms
 from boole.cli import main
 from boole.models import ClassAssignment, Defined, Multiset, Universe, eval_multiset, eval_partial
 from boole.polynomial import Polynomial
@@ -25,12 +28,16 @@ from boole.terms import (
     Mul,
     Neg,
     NotTotallyInterpretableError,
+    One,
     Pow,
+    Sub,
     Var,
+    Zero,
     eval_set_expression,
     format_set_expression,
     format_term,
     parse,
+    poly,
     term_to_poly,
     term_variables,
     to_set_expression,
@@ -80,6 +87,35 @@ def outcome(function, *args):
 @example(parse("(x*y)*(x + y + 2*z) - (1 + x)*(1 - x)"))
 def test_compile_matches_oracle(term):
     assert term_to_poly(term).terms == oracle_term_to_poly(term).terms
+
+
+def reparsed(term):
+    """The tree that parsing the term's printed form gives: the literals
+    0 and 1 read back as Zero and One."""
+    if isinstance(term, IntLit) and term.value < 2:
+        return One() if term.value else Zero()
+    if isinstance(term, (Add, Sub, Mul)):
+        return type(term)(reparsed(term.left), reparsed(term.right))
+    if isinstance(term, Neg):
+        return Neg(reparsed(term.operand))
+    if isinstance(term, Pow):
+        return Pow(reparsed(term.base), term.exponent)
+    return term
+
+
+@given(terms)
+@example(Neg(Pow(Neg(Add(X, IntLit(2))), 3)))
+@example(Mul(Neg(X), Neg(Add(X, Y))))
+@example(Add(Neg(Mul(X, Y)), Pow(Pow(Y, 2), 3)))
+def test_text_compiles_as_its_tree(term):
+    # poly compiles the parser's postfix code, term_to_poly the tree's
+    for compact in (False, True):
+        text = format_term(term, compact)
+        tree = parse(text)
+        assert tree == reparsed(term)
+        expected = outcome(oracle_term_to_poly, tree)
+        assert outcome(poly, text) == expected
+        assert outcome(term_to_poly, tree) == expected
 
 
 @given(terms, st.booleans())
@@ -238,6 +274,26 @@ def test_long_product():
     assert eval_partial(term, classes) == Defined(1)
     assert eval_multiset(term, values) == Multiset((1, 2**1500))
     assert term_variables(term) == tuple(sorted(NAMES))
+
+
+# 200 summands, with a leading minus, powers and both signs
+SIGNED_SUM = "-" + "".join(f"{i % 9 + 1}*{NAMES[i % 20]}^{i % 3 + 1} {'+-'[i % 2]} " for i in range(199)) + "7"
+SPINE_50 = "".join(f"d{i} {'+*-'[i % 3]} (" for i in range(50)) + "d50" + ")" * 50
+
+
+@pytest.mark.parametrize("text", [SIGNED_SUM, SPINE_50], ids=["sum", "nest"])
+def test_text_compiles_without_a_tree(monkeypatch, text):
+    expected = term_to_poly(parse(text))
+
+    def no_tree(*args):
+        raise AssertionError("poly built a tree")
+
+    for kind in (Var, IntLit, Pow, boole.terms._Nullary, boole.terms._Unary, boole.terms._Binary):
+        monkeypatch.setattr(kind, "__init__", no_tree)
+    monkeypatch.setattr(boole.terms, "_postorder", no_tree)
+    assert poly(text) == expected
+    with pytest.raises(AssertionError, match="poly built a tree"):
+        parse(text)
 
 
 @pytest.mark.parametrize("text", [LONG_SUM, DEEP_NEST, LONG_PRODUCT], ids=["sum", "nest", "product"])
