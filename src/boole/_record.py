@@ -17,6 +17,8 @@ slotted class whose instances are built in bulk may define its own
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 _set = object.__setattr__
 
 
@@ -88,5 +90,7 @@ class Record:
 
     def __reduce__(self) -> tuple:
         # Copies and pickles are rebuilt through the constructor, since
-        # the frozen __setattr__ refuses the default way.
-        return type(self), self._values()
+        # the frozen __setattr__ refuses the default way.  A read-only
+        # mapping, which neither can copy, goes as a dict for the
+        # constructor to wrap and check again.
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in self._values())

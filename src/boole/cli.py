@@ -322,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, parents=[common], help=text)
         for flag, options in arguments.items():
             cmd.add_argument(flag, **options)
-        cmd.set_defaults(handler=globals()[f"_cmd_{name}"])  # looked up per build, so a patched one is used
         if name == "eval":  # exactly one of the two semantics
             group = cmd.add_mutually_exclusive_group(required=True)
             group.add_argument("--classes", help="class assignment 'U=2; x={0}; y={0,1}'")
@@ -336,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.max_vars is not None and args.max_vars < 0:
         parser.error(f"argument --max-vars: the variable limit must be nonnegative, got {args.max_vars}")
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)  # looked up per call, so a patched one is used
     except KeyError as error:
         print(f"error: {error.args[0] if error.args else error}", file=sys.stderr)
     except (ParseError, VariableLimitError, ValueError, OSError) as error:

@@ -283,7 +283,9 @@ class Multiset(Record):
     def __pow__(self, exponent: int) -> "Multiset":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        if any(abs(a) > 1 and exponent * log2(abs(a)) > MAX_POWER_BITS for a in self.values):
+        # |a| > 1 at least doubles per unit of exponent: refuse before the float product.
+        top = max(map(abs, self.values), default=0)
+        if top > 1 and (exponent > MAX_POWER_BITS or exponent * log2(top) > MAX_POWER_BITS):
             raise ValueError(f"power too large: its values pass {MAX_POWER_BITS} bits")
         return Multiset(tuple(a**exponent for a in self.values))
 

@@ -24,7 +24,7 @@ from typing import Mapping
 from ._record import Record
 from .development import least_point, sigma_assignment
 from .polynomial import Polynomial, check_variable_limit
-from .terms import ParseError, poly
+from .terms import ParseError, _compile, _read
 
 __all__ = ["HornSentence", "Verdict", "check_equation", "check_r01", "parse_horn"]
 
@@ -88,32 +88,36 @@ def check_equation(p: Polynomial, *, max_vars: int | None = None) -> Verdict:
 def parse_horn(text: str) -> HornSentence:
     """Parse ``e1 = f1 & e2 = f2 -> e0 = f0`` or a bare equation
     ``s = t``; each side is a term and each equation is stored as the
-    difference of its sides.  Error offsets count from the start of
-    `text`."""
+    difference of its sides.  The whole sentence is read before any of it
+    is compiled, so a syntax error anywhere in it costs no compile work.
+    Error offsets count from the start of `text`."""
     head, arrow, tail = text.partition("->")
     if "->" in tail:
         raise ParseError("more than one '->'", text.index("->", text.index("->") + 2))
-    equations, start = [], 0
+    codes, start = [], 0
     for part in head.split("&") if arrow else [head]:
-        equations.append(_parse_equation(part, start))
+        codes.append(_read_equation(part, start))
         start += len(part) + 1
     if arrow:
-        equations.append(_parse_equation(tail, len(head) + 2))
+        codes.append(_read_equation(tail, len(head) + 2))
+    equations = [_compile(code) for code in codes]
     return HornSentence(tuple(equations[:-1]), equations[-1])
 
 
-def _parse_equation(text: str, start: int) -> Polynomial:
-    # `start` is the offset of `text` in the whole sentence.
+def _read_equation(text: str, start: int) -> list:
+    # The postfix code of the left side minus the right side; `start` is
+    # the offset of `text` in the whole sentence.
     left, eq, right = text.partition("=")
     if not eq:
         raise ParseError("expected an equation 'lhs = rhs'", start)
     if "=" in right:
         second = start + len(left) + 1 + right.index("=")
         raise ParseError("more than one '=' in an equation", second)
-    sides = []
+    code = []
     for side, offset in ((left, start), (right, start + len(left) + 1)):
         try:
-            sides.append(poly(side))
+            code += _read(side)
         except ParseError as error:
             raise ParseError(error.message, offset + error.position) from None
-    return sides[0] - sides[1]
+    code.append(("-", None))
+    return code

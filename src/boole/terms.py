@@ -15,12 +15,12 @@ Whitespace is insignificant.  ``*`` is mandatory: juxtaposition like
 tighter than ``*``, which binds tighter than ``+``/``-``; the binary
 operators associate to the left.  Parse errors carry byte offsets.
 
-The parser is one loop with an explicit stack that hands each complete
-subterm to a builder for its operator: node constructors for ``parse``,
-and for ``poly`` emitters of flat postfix code, ``(op, payload)`` pairs
-with children before parents.  One compiler turns postfix code into a
-polynomial; ``term_to_poly`` compiles a tree's postorder as the same
-code, so compiled text never becomes a tree.  Printing, translating to
+The parser is one loop with an explicit stack, and its one output is
+flat postfix code: ``(op, payload)`` pairs with children before parents.
+``parse`` builds a tree from the code in one stack loop, and one
+compiler turns code into a polynomial: ``poly`` compiles the code of its
+text, so compiled text never becomes a tree, and ``term_to_poly``
+compiles a tree's postorder as the same code.  Printing, translating to
 sets, evaluating and collecting variables are folds over the tree, all on
 the one iterative fold below, and nodes compare, hash and print with
 stacks of their own.  Every traversal is iterative, with no depth limit:
@@ -339,45 +339,40 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _int_term(value: int) -> Term:
-    if value == 0:
-        return Zero()
-    if value == 1:
-        return One()
-    return IntLit(value)
+def _read(text: str) -> list[tuple[str, Any]]:
+    """The postfix code of `text` read by the grammar: ``(op, payload)``
+    pairs, children before parents and a left operand before the right
+    one.  The ops are "var" with a name, "int" with a nonnegative value,
+    "^" with an exponent, and "*", "neg", "+" and "-" with no payload.
+    Raises ParseError with a byte offset on bad input.
 
-
-def _read(text: str, build: tuple) -> object:
-    """Read `text` by the grammar, handing each subterm, once complete, to
-    the builder for its operator in `build`: ``number(value)``,
-    ``name(name)``, ``power(base, exponent)``, ``times(left, right)``,
-    ``neg(operand)``, ``plus(left, right)`` and ``minus(left, right)``.
-    The builders run children first and left before right, in postfix
-    order; what each returns, which must not be None, stands for its
-    subterm, and the root's is returned.  Raises ParseError with a byte
-    offset on bad input, before building anything past the error."""
-    number, name, power, times, neg, plus, minus = build
+    >>> _read("x - 2*y")
+    [('var', 'x'), ('int', 2), ('var', 'y'), ('*', None), ('-', None)]
+    """
     tokens = _tokenize(text)
-    # The expression being read is its sum so far, the operator that joins
-    # the next product to it, the product so far, and whether a leading
-    # minus still waits for the first product.  An open parenthesis saves
-    # the enclosing expression's state and starts afresh.
-    frames: list[tuple[object, str, object, bool]] = []
-    total, op, product, negate = None, "+", None, tokens[0][0] == "-"
+    code: list[tuple[str, Any]] = []
+    emit = code.append
+    # The expression being read is the operator that joins the next
+    # product to its sum (None before the first product), whether the
+    # product has a factor yet, and whether a leading minus still waits
+    # for the first product.  An open parenthesis saves the enclosing
+    # expression's state and starts afresh.
+    frames: list[tuple[str | None, bool, bool]] = []
+    op, factored, negate = None, False, tokens[0][0] == "-"
     pos = int(negate)
     while True:
         kind, value, position = tokens[pos]
         pos += 1
         if kind == "(":
-            frames.append((total, op, product, negate))
-            total, op, product = None, "+", None
+            frames.append((op, factored, negate))
+            op, factored = None, False
             negate = tokens[pos][0] == "-"
             pos += negate
             continue
         if kind == "INT":
-            node = number(value)
+            emit(("int", value))
         elif kind == "IDENT":
-            node = name(value)
+            emit(("var", value))
         else:
             raise ParseError("expected a number, a variable or '('", position)
         # A complete factor; it may complete the product, the sum and the
@@ -389,38 +384,52 @@ def _read(text: str, build: tuple) -> object:
                     raise ParseError("expected an integer exponent after '^'", position)
                 if value == 0:
                     raise ParseError("exponent must be at least 1", position)
-                node = power(node, value)
+                emit(("^", value))
                 pos += 2
-            product = node if product is None else times(product, node)
+            if factored:
+                emit(("*", None))
             kind, _, position = tokens[pos]
             if kind == "*":
+                factored = True
                 break
             if negate:
-                product, negate = neg(product), False
-            total = product if total is None else (plus if op == "+" else minus)(total, product)
-            product = None
+                emit(("neg", None))
+                negate = False
+            if op:
+                emit((op, None))
+            factored = False
             if kind == "+" or kind == "-":
                 op = kind
                 break
             if not frames:
                 if kind != "EOF":
                     raise ParseError("unexpected trailing input", position)
-                return total
+                return code
             if kind != ")":
                 raise ParseError("expected ')'", position)
-            node = total
-            total, op, product, negate = frames.pop()
+            op, factored, negate = frames.pop()
             pos += 1
         pos += 1
-
-
-_TREE = (_int_term, Var, Pow, Mul, Neg, Add, Sub)
 
 
 def parse(text: str) -> Term:
     """Parse concrete syntax into a Term; raises ParseError with a byte
     offset on bad input."""
-    return _read(text, _TREE)  # type: ignore[return-value]
+    stack: list[Term] = []
+    push = stack.append
+    for op, payload in _read(text):
+        if op == "var":
+            push(Var(payload))
+        elif op == "int":
+            push(Zero() if payload == 0 else One() if payload == 1 else IntLit(payload))
+        elif op == "^":
+            stack[-1] = Pow(stack[-1], payload)
+        elif op == "neg":
+            stack[-1] = Neg(stack[-1])
+        else:
+            right = stack.pop()
+            stack[-1] = (Add if op == "+" else Sub if op == "-" else Mul)(stack[-1], right)
+    return stack[0]
 
 
 # ----------------------------------------------------------------------
@@ -468,12 +477,9 @@ def format_term(term: Term, compact: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Compilation to polynomials
 #
-# Both text and trees compile through postfix code: a flat list of
-# (op, payload) pairs, children before parents and a left operand before
-# the right one.  The ops are "var" with a name, "int" with a nonnegative
-# value, "^" with an exponent, and "*", "neg", "+" and "-" with no payload.
-# `poly` has the parser emit the code, so text never becomes a tree;
-# `term_to_poly` reads it off the tree's postorder.
+# Both text and trees compile through the postfix code that `_read`
+# gives: `poly` compiles the code of its text, so text never becomes a
+# tree, and `term_to_poly` reads the code off the tree's postorder.
 #
 # The compiler keeps a stack of values, each a sign and a coefficient
 # table of its own, the value being the sign times the table, keyed by
@@ -481,26 +487,6 @@ def format_term(term: Term, compact: bool = False) -> str:
 # minus flips the sign, + and - add the smaller table into the larger, and
 # * and ^ run the polynomial kernel's product and power; the root's table
 # becomes the polynomial, and nothing is sorted.
-
-
-def _code_builders(code: list) -> tuple:
-    # Builders for _read that append the code to `code`, each returning its
-    # op to stand for the subterm.
-    emit = code.append
-
-    def combine(op: str) -> Callable:
-        entry = (op, None)
-        return lambda *operands: emit(entry) or op
-
-    return (
-        lambda value: emit(("int", value)) or "int",
-        lambda name: emit(("var", name)) or "var",
-        lambda base, exponent: emit(("^", exponent)) or "^",
-        combine("*"),
-        combine("neg"),
-        combine("+"),
-        combine("-"),
-    )
 
 
 _TREE_CODE: dict[type, Callable] = {
@@ -568,11 +554,9 @@ def term_to_poly(term: Term) -> Polynomial:
 
 def poly(text: str) -> Polynomial:
     """Parse and compile in one step: ``poly("x + y - 2*x*y")``.  The
-    parser emits postfix code and builds no tree, and the whole text is
-    read before anything is compiled."""
-    code: list = []
-    _read(text, _code_builders(code))
-    return _compile(code)
+    whole text is read to postfix code, with no tree, before anything is
+    compiled."""
+    return _compile(_read(text))
 
 
 def to_term(p: Polynomial) -> Term:

@@ -24,8 +24,10 @@ from operator import add, mul
 from typing import Iterable
 
 from ._record import Record
-from .development import _limited, develop_partial
-from .polynomial import ONE, ZERO, Polynomial, _require_name, _sum_of_squares, from_point_values, point_values
+from .development import _limited
+from .polynomial import (
+    ONE, ZERO, Polynomial, _require_name, _sum_of_squares, from_point_values, point_polynomials, point_values
+)
 
 __all__ = ["Solution", "eliminate", "reduce_system", "solve"]
 
@@ -54,8 +56,7 @@ def eliminate(
     For any 0/1 values of the remaining variables, the result vanishes
     exactly when some 0/1 choice for the eliminated variables makes p
     vanish."""
-    table = develop_partial(p, variables, max_vars=max_vars)
-    return _fold(mul, table.coefficients.values(), ONE)
+    return _fold(mul, point_polynomials(p, _limited(variables, max_vars)), ONE)
 
 
 class Solution(Record):

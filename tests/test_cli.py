@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from boole import Polynomial
-from boole.cli import main, poly_from_json, poly_to_json
+from boole.cli import _build_parser, main, poly_from_json, poly_to_json
+from boole.polynomial import MAX_POWER_BITS
 from boole.terms import poly
 
 
@@ -216,6 +217,11 @@ def test_repeated_or_malformed_assignment_entries(capsys, option, spec, message)
 
 def test_assignment_numbers_may_have_spaces_and_a_sign(capsys):
     assert run(capsys, "eval", "x", "--multisets", " U = 2 ; x=[ +1 , -0 ]") == (0, "[1, 0]\n", "")
+
+
+def test_parsed_arguments_name_the_command_and_hold_no_handler():
+    args = _build_parser().parse_args(["normalize", "x"])
+    assert vars(args) == {"command": "normalize", "expr": "x", "format": "text", "max_vars": None}
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -487,6 +493,13 @@ def test_huge_coefficients_print_exactly(capsys):
     assert poly_from_json([{"monomial": [], "coefficient": "-" + expected}]).terms == {(): -(3**10000)}
     code, out, _ = run(capsys, "eval", "x^99^99", "--multisets", "U=2; x=[3,1]", "--format", "json")
     assert (code, json.loads(out)) == (0, {"values": [unlimited_str(3 ** (99 * 99)), "1"]})
+
+
+def test_multiset_power_past_the_bit_limit_is_refused(capsys):
+    power = "x^" + "1" * 400
+    refused = f"error: power too large: its values pass {MAX_POWER_BITS} bits\n"
+    assert run(capsys, "eval", power, "--multisets", "U=1; x=[2]") == (2, "", refused)
+    assert run(capsys, "eval", power, "--multisets", "U=2; x=[1,-1]") == (0, "[1, -1]\n", "")
 
 
 def test_huge_numerals_parse_exactly(capsys):

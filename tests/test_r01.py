@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import product
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 
 import boole.development
 import boole.polynomial
+import boole.terms
 from boole import Polynomial, variables
 from boole.development import develop, equal_by_development, first_difference, least_point
 from boole.models import Universe, chi, eval_multiset, holds_in_idempotents
@@ -60,6 +62,36 @@ def test_parse_horn_errors():
         with pytest.raises(ParseError) as excinfo:
             parse_horn(text)
         assert excinfo.value.position == offset, text
+
+
+# (x0+...+x15)^16 multiplied out has 2^16 monomials.  The stray ")" is in
+# a later side, or in a later equation, than that power.
+COSTLY = "(" + "+".join(f"x{i}" for i in range(16)) + ")^16"
+
+
+@pytest.mark.parametrize(
+    "sentence",
+    [f"{COSTLY} = 1 -> x0 = )", f"{COSTLY} = 0 & x0 = ) -> x1 = 0"],
+    ids=["later-side", "later-equation"],
+)
+def test_sentence_is_read_whole_before_it_compiles(monkeypatch, sentence):
+    expected = ("expected a number, a variable or '('", sentence.rindex(")"))
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as excinfo:
+        parse_horn(sentence)
+    assert time.perf_counter() - start < 0.05
+    assert (excinfo.value.message, excinfo.value.position) == expected
+
+    def no_compile(code):
+        raise AssertionError("compiled before the whole sentence was read")
+
+    original = boole.terms._compile
+    for name, module in list(sys.modules.items()):
+        if (name == "boole" or name.startswith("boole.")) and vars(module).get("_compile") is original:
+            monkeypatch.setattr(module, "_compile", no_compile)
+    with pytest.raises(ParseError) as excinfo:
+        parse_horn(sentence)
+    assert (excinfo.value.message, excinfo.value.position) == expected
 
 
 # ----------------------------------------------------------------------

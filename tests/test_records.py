@@ -142,6 +142,13 @@ def test_construction_and_repr_match_the_oracle(case):
         assert hash(new) == hash(CASES[case](NEW)) and pickle.loads(pickle.dumps(new)) == new
 
 
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_copies_and_pickles_are_equal(case):
+    record = CASES[case](NEW)
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
 def test_equality_matches_the_oracle_between_every_pair():
     new = [case(NEW) for case in CASES]
     old = [case(OLD) for case in CASES]

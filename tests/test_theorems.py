@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial, polynomial, theorems, variables
-from boole.development import develop, sigma_assignment, sigma_strings
+from boole.development import DevelopmentTable, develop, sigma_assignment, sigma_strings
 from boole.polynomial import VariableLimitError
 from boole.theorems import Solution, eliminate, reduce_system, solve
 from conftest import WIDE_NAMES, oracle_solve, random_polynomial, wide_polynomials, zero_one_points
@@ -115,6 +115,15 @@ def test_eliminate_is_existential_projection():
                 for inner in zero_one_points(eliminated)
             )
             assert projected == witnessed
+
+
+def test_eliminate_builds_no_development_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("eliminate built a development table")
+
+    monkeypatch.setattr(DevelopmentTable, "_make", classmethod(no_table))
+    assert eliminate(1 - x * y, ("y",)) == 1 - x
+    assert eliminate(x + y, ("q",)) == (x + y) * (x + y)
 
 
 def test_eliminate_cap():
