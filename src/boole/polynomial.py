@@ -525,6 +525,9 @@ def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
         p, q = q, p
     if len(p) == 1:
         [(m, c)] = p.items()
+        if len(q) == 1:
+            [(a, ca)] = q.items()
+            return {a | m: c * ca}
         table = {a | m: c * ca for a, ca in q.items()}
         if len(table) == len(q):
             return table

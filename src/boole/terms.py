@@ -15,21 +15,27 @@ Whitespace is insignificant.  ``*`` is mandatory: juxtaposition like
 tighter than ``*``, which binds tighter than ``+``/``-``; the binary
 operators associate to the left.  Parse errors carry byte offsets.
 
-The parser is one loop with an explicit stack, and its one output is
-flat postfix code: ``(op, payload)`` pairs with children before parents.
-``parse`` builds a tree from the code in one stack loop, and one
-compiler turns code into a polynomial: ``poly`` compiles the code of its
-text, so compiled text never becomes a tree, and ``term_to_poly``
-compiles a tree's postorder as the same code.  Printing, translating to
-sets, evaluating and collecting variables are folds over the tree, all on
-the one iterative fold below, and nodes compare, hash and print with
-stacks of their own.  Every traversal is iterative, with no depth limit:
-a term may be as long and as deeply nested as memory allows.
+The reader splits text into tokens with one regular-expression scan that
+keeps no positions: the offset of a bad character or a syntax error is
+found by a second scan, only when the error is raised.  The parser is
+one loop with an explicit stack, and its one output is flat postfix
+code: ``(op, payload)`` pairs with children before parents.  ``parse``
+builds a tree from the code in one stack loop, and one compiler turns
+code into a polynomial: ``poly`` compiles the code of its text, so
+compiled text never becomes a tree, and ``term_to_poly`` compiles a
+tree's postorder as the same code.  Printing, translating to sets,
+evaluating and collecting variables are folds over the tree, all on the
+one iterative fold below, and nodes compare, hash, print, copy and
+pickle with stacks of their own.  Every traversal is iterative, with no
+depth limit: a term may be as long and as deeply nested as memory
+allows.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+import re
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Mapping
 
 from ._record import Record, _set
@@ -80,12 +86,15 @@ class _Node(Record):
         # subtrees its nodes have.
         flat = []
         for node in _postorder(self):
-            kind = node.__class__
             if isinstance(node, _Node):
-                subtrees = 2 if kind in _BINARY else 1 if kind in _UNARY else 0
-                node = (kind, *node._values()[subtrees:])
+                node = (node.__class__, *node._values()[_subtrees(node.__class__):])
             flat.append(node)
         return tuple(flat)
+
+    def __reduce__(self) -> tuple:
+        # Copies and pickles ship the flat form, so a deep tree costs the
+        # copier and the pickler no Python frames either.
+        return _unflatten, (self._flat(),)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -254,6 +263,25 @@ _BINARY = frozenset({Add, Sub, Mul, SetUnion, SetIntersection})
 _UNARY = {Neg: attrgetter("operand"), Pow: attrgetter("base"), SetComplement: attrgetter("operand")}
 
 
+def _subtrees(kind: type) -> int:
+    return 2 if kind in _BINARY else 1 if kind in _UNARY else 0
+
+
+def _unflatten(flat: tuple) -> _Node:
+    # The tree whose `_Node._flat` form is `flat`, built in one stack
+    # loop through the node constructors; an item that is not a node's
+    # entry is a value in a subtree's place, as in Add(1, 2).
+    stack: list = []
+    for item in flat:
+        kind = item[0] if type(item) is tuple and item else None
+        if isinstance(kind, type) and issubclass(kind, _Node):
+            count = _subtrees(kind)
+            item = kind(*stack[len(stack) - count:], *item[1:])
+            del stack[len(stack) - count:]
+        stack.append(item)
+    return stack[0]
+
+
 def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
     """The nodes of a tree, each after its children and a left subtree
     before the right one; nodes of a type in `leaves` without subtrees."""
@@ -306,37 +334,19 @@ class ParseError(Exception):
         return f"{self.message} at offset {self.position}"
 
 
-_SYMBOLS = set("+-*^()")
-# ASCII only: str.isdigit and str.isalnum also accept "²" and "٣".
-_DIGITS = set("0123456789")
-_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARACTERS = _LETTERS | _DIGITS | {"_"}
+# A number, a name, or any other character that is not whitespace.
+# Numbers and names are ASCII only: the classes [0-9] and [A-Za-z] are,
+# where str.isdigit and str.isalnum also accept "²" and "٣".
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
+# The characters a token may start with: the symbols, digits and letters.
+_STARTS = frozenset("+-*^()0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    tokens: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(("INT", _digits_value(text[start:i]), start))
-        elif ch in _LETTERS:
-            start = i
-            while i < n and text[i] in _NAME_CHARACTERS:
-                i += 1
-            tokens.append(("IDENT", text[start:i], start))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", None, n))
-    return tokens
+def _offset(text: str, index: int) -> int:
+    # The offset of the index-th token of `text`, or len(text) for the
+    # end marker; found only when an error is raised.
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    return len(text) if match is None else match.start()
 
 
 def _read(text: str) -> list[tuple[str, Any]]:
@@ -349,7 +359,14 @@ def _read(text: str) -> list[tuple[str, Any]]:
     >>> _read("x - 2*y")
     [('var', 'x'), ('int', 2), ('var', 'y'), ('*', None), ('-', None)]
     """
-    tokens = _tokenize(text)
+    # A bad character anywhere is reported before any syntax error, so
+    # past this check every token is ASCII: a number is a token that
+    # isdigit(), a name one that isidentifier(); "" marks the end.
+    tokens = _TOKEN.findall(text)
+    if not _STARTS.issuperset(map(itemgetter(0), set(tokens))):
+        bad = next(match for match in _TOKEN.finditer(text) if match[0][0] not in _STARTS)
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    tokens.append("")
     code: list[tuple[str, Any]] = []
     emit = code.append
     # The expression being read is the operator that joins the next
@@ -358,38 +375,39 @@ def _read(text: str) -> list[tuple[str, Any]]:
     # for the first product.  An open parenthesis saves the enclosing
     # expression's state and starts afresh.
     frames: list[tuple[str | None, bool, bool]] = []
-    op, factored, negate = None, False, tokens[0][0] == "-"
+    op, factored, negate = None, False, tokens[0] == "-"
     pos = int(negate)
     while True:
-        kind, value, position = tokens[pos]
+        token = tokens[pos]
         pos += 1
-        if kind == "(":
+        if token == "(":
             frames.append((op, factored, negate))
             op, factored = None, False
-            negate = tokens[pos][0] == "-"
+            negate = tokens[pos] == "-"
             pos += negate
             continue
-        if kind == "INT":
-            emit(("int", value))
-        elif kind == "IDENT":
-            emit(("var", value))
+        if token.isdigit():
+            emit(("int", _digits_value(token)))
+        elif token.isidentifier():
+            emit(("var", token))
         else:
-            raise ParseError("expected a number, a variable or '('", position)
+            raise ParseError("expected a number, a variable or '('", _offset(text, pos - 1))
         # A complete factor; it may complete the product, the sum and the
         # parenthesized factor around them, and so on outwards.
         while True:
-            while tokens[pos][0] == "^":
-                kind, value, position = tokens[pos + 1]
-                if kind != "INT":
-                    raise ParseError("expected an integer exponent after '^'", position)
+            while tokens[pos] == "^":
+                token = tokens[pos + 1]
+                if not token.isdigit():
+                    raise ParseError("expected an integer exponent after '^'", _offset(text, pos + 1))
+                value = _digits_value(token)
                 if value == 0:
-                    raise ParseError("exponent must be at least 1", position)
+                    raise ParseError("exponent must be at least 1", _offset(text, pos + 1))
                 emit(("^", value))
                 pos += 2
             if factored:
                 emit(("*", None))
-            kind, _, position = tokens[pos]
-            if kind == "*":
+            token = tokens[pos]
+            if token == "*":
                 factored = True
                 break
             if negate:
@@ -398,15 +416,15 @@ def _read(text: str) -> list[tuple[str, Any]]:
             if op:
                 emit((op, None))
             factored = False
-            if kind == "+" or kind == "-":
-                op = kind
+            if token == "+" or token == "-":
+                op = token
                 break
             if not frames:
-                if kind != "EOF":
-                    raise ParseError("unexpected trailing input", position)
+                if token:
+                    raise ParseError("unexpected trailing input", _offset(text, pos))
                 return code
-            if kind != ")":
-                raise ParseError("expected ')'", position)
+            if token != ")":
+                raise ParseError("expected ')'", _offset(text, pos))
             op, factored, negate = frames.pop()
             pos += 1
         pos += 1
@@ -617,7 +635,8 @@ def _set_add(node: Add, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
 
 def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
     p, q = left[1](), right[1]()
-    if q * (ONE - p) != ZERO:
+    rest = ONE - p
+    if rest != ZERO and q * rest != ZERO:
         raise NotTotallyInterpretableError(
             node,
             f"{format_term(node.right, compact=True)} is not contained in "

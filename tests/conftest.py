@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from boole import ONE, ZERO, Polynomial
 from boole.development import DevelopmentTable, _check_variables, interpretable_core, sigma_strings
 from boole.models import MAX_UNIVERSE, ClassAssignment, Defined, Multiset, Undefined, Universe, _subset_mask
-from boole.polynomial import _require_name
+from boole.polynomial import _digits_value, _require_name
 from boole.r01 import HornSentence, Verdict
 from boole.terms import (
     Add,
@@ -27,6 +27,7 @@ from boole.terms import (
     Neg,
     NotTotallyInterpretableError,
     One,
+    ParseError,
     Pow,
     SetComplement,
     SetEmpty,
@@ -115,6 +116,99 @@ def eval_term_int(term: Term, env: dict[str, int]) -> int:
     if isinstance(term, Pow):
         return eval_term_int(term.base, env) ** term.exponent
     raise TypeError(term)
+
+
+# The reader as a loop over every character and a grammar loop over
+# (kind, value, offset) tokens: the reference for `terms._read`.
+
+_ORACLE_SYMBOLS = set("+-*^()")
+_ORACLE_DIGITS = set("0123456789")
+_ORACLE_LETTERS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ORACLE_NAME_CHARACTERS = _ORACLE_LETTERS | _ORACLE_DIGITS | {"_"}
+
+
+def _oracle_tokenize(text: str) -> list[tuple[str, object, int]]:
+    tokens: list[tuple[str, object, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in _ORACLE_SYMBOLS:
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch in _ORACLE_DIGITS:
+            start = i
+            while i < n and text[i] in _ORACLE_DIGITS:
+                i += 1
+            tokens.append(("INT", _digits_value(text[start:i]), start))
+        elif ch in _ORACLE_LETTERS:
+            start = i
+            while i < n and text[i] in _ORACLE_NAME_CHARACTERS:
+                i += 1
+            tokens.append(("IDENT", text[start:i], start))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("EOF", None, n))
+    return tokens
+
+
+def oracle_read(text: str) -> list[tuple[str, object]]:
+    """The postfix code of `text`, read token by token."""
+    tokens = _oracle_tokenize(text)
+    code: list[tuple[str, object]] = []
+    emit = code.append
+    frames: list[tuple[str | None, bool, bool]] = []
+    op, factored, negate = None, False, tokens[0][0] == "-"
+    pos = int(negate)
+    while True:
+        kind, value, position = tokens[pos]
+        pos += 1
+        if kind == "(":
+            frames.append((op, factored, negate))
+            op, factored = None, False
+            negate = tokens[pos][0] == "-"
+            pos += negate
+            continue
+        if kind == "INT":
+            emit(("int", value))
+        elif kind == "IDENT":
+            emit(("var", value))
+        else:
+            raise ParseError("expected a number, a variable or '('", position)
+        while True:
+            while tokens[pos][0] == "^":
+                kind, value, position = tokens[pos + 1]
+                if kind != "INT":
+                    raise ParseError("expected an integer exponent after '^'", position)
+                if value == 0:
+                    raise ParseError("exponent must be at least 1", position)
+                emit(("^", value))
+                pos += 2
+            if factored:
+                emit(("*", None))
+            kind, _, position = tokens[pos]
+            if kind == "*":
+                factored = True
+                break
+            if negate:
+                emit(("neg", None))
+                negate = False
+            if op:
+                emit((op, None))
+            factored = False
+            if kind == "+" or kind == "-":
+                op = kind
+                break
+            if not frames:
+                if kind != "EOF":
+                    raise ParseError("unexpected trailing input", position)
+                return code
+            if kind != ")":
+                raise ParseError("expected ')'", position)
+            op, factored, negate = frames.pop()
+            pos += 1
+        pos += 1
 
 
 def zero_one_points(names: tuple[str, ...]):

@@ -57,6 +57,9 @@ def test_parse_horn_errors():
         ("x = $", 4),
         ("x + = y", 4),
         ("x = y & (y = z -> x = z", 11),
+        # a bad leading "_" in a second side, after a name with one inside
+        ("x_ = _y", 5),
+        ("x = y & x_ = _y -> x = z", 13),
     ]
     for text, offset in cases:
         with pytest.raises(ParseError) as excinfo:

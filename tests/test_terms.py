@@ -1,12 +1,15 @@
 import random
+import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boole import ONE, ZERO, Polynomial, variables
 from boole.r01 import parse_horn
 from boole.terms import (
+    _TOKEN,
     Add,
     IntLit,
     Mul,
@@ -24,6 +27,7 @@ from boole.terms import (
     Sub,
     Var,
     Zero,
+    _read,
     eval_set_expression,
     format_term,
     is_totally_interpretable,
@@ -34,7 +38,7 @@ from boole.terms import (
     to_set_expression,
     to_term,
 )
-from conftest import eval_term_int, polynomials, random_term, zero_one_points
+from conftest import eval_term_int, oracle_read, polynomials, random_term, zero_one_points
 
 x, y = variables("x, y")
 
@@ -83,14 +87,46 @@ def test_whitespace_is_insignificant():
         ("x + ٣", 4),
         ("é", 0),
         ("x + yé", 5),
+        # "_" may follow a name's first character but may not start a token
+        ("x_ + _y", 5),
+        ("9_", 1),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
-    for read in (parse, poly):
+    # parse_horn reads the text as the second side of "0 = ..."
+    for read, at in ((parse, offset), (poly, offset), (lambda text: parse_horn("0 = " + text), offset + 4)):
         with pytest.raises(ParseError) as excinfo:
             read(text)
-        assert excinfo.value.position == offset
-        assert f"offset {offset}" in str(excinfo.value)
+        assert excinfo.value.position == at
+        assert f"offset {at}" in str(excinfo.value)
+
+
+# Letters, digits, the symbols, spaces the reader skips (tab, newline,
+# "\x1c", no-break and ideographic spaces) and characters it rejects,
+# among them digits and letters that are not ASCII.
+READER_ALPHABET = list("abxyzXY0129_+-*^()") + [" ", "\t", "\n", "\x1c", "\xa0", "\u3000", "²", "٣", "é", "$"]
+
+
+def read_outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as error:
+        return error.message, error.position
+
+
+@given(st.text(st.sampled_from(READER_ALPHABET), max_size=30))
+@example("x_ + _y")
+@example("x^ 2_ + y")
+@example("(x + \u3000y)^0")
+def test_reader_matches_the_character_loop(text):
+    assert read_outcome(_read, text) == read_outcome(oracle_read, text)
+
+
+def test_reader_skips_exactly_the_whitespace():
+    # The tokens are substrings in order, so joining them drops exactly
+    # the characters the reader skips.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_TOKEN.findall(every)) == "".join(ch for ch in every if not ch.isspace())
 
 
 def test_no_juxtaposition_multiplication():

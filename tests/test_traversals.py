@@ -10,6 +10,8 @@ sits inside a product, a sum or a power (set translation rejects a unary
 minus before looking at its operand, partial evaluation looks first).
 """
 
+import copy
+import pickle
 import sys
 import time
 
@@ -261,6 +263,16 @@ def test_deep_nesting():
     assert eval_partial(term, classes) == Defined(1)
     assert eval_multiset(term, values) == Multiset((1, 2))
     assert term_variables(term) == ("x",)
+
+
+@pytest.mark.parametrize(
+    "text", [DEEP_NEST, " + ".join(NAMES[i % 20] for i in range(20000))], ids=["nest", "sum"]
+)
+def test_deep_terms_copy_and_pickle(text):
+    term = parse(text)
+    assert copy.deepcopy(term) == term
+    assert copy.copy(term) == term
+    assert pickle.loads(pickle.dumps(term)) == term
 
 
 def test_long_product():
