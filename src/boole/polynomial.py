@@ -557,12 +557,13 @@ def _sum_of_squares(polys: Sequence[Polynomial]) -> Polynomial:
 
 
 def _power(table: dict[int, int], exponent: int) -> dict[int, int]:
-    # Repeated squaring; an idempotent base is its own power for every
-    # positive exponent, and is returned as it is.
+    # Repeated squaring of the nonzero terms; an idempotent base is its
+    # own power for every positive exponent, and is returned as it is.
     if exponent < 2:
         return table if exponent else {0: 1}
+    table = {mask: coeff for mask, coeff in table.items() if coeff}
     square = _product(table, table)
-    if square == table:
+    if {mask: coeff for mask, coeff in square.items() if coeff} == table:
         return table
     result = table if exponent & 1 else {0: 1}
     exponent >>= 1

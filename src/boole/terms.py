@@ -23,9 +23,12 @@ code: ``(op, payload)`` pairs with children before parents.  ``parse``
 builds a tree from the code in one stack loop, and one compiler turns
 code into a polynomial: ``poly`` compiles the code of its text, so
 compiled text never becomes a tree, and ``term_to_poly`` compiles a
-tree's postorder as the same code.  Printing, translating to sets,
-evaluating and collecting variables are folds over the tree, all on the
-one iterative fold below, and nodes compare, hash, print, copy and
+tree's postorder as the same code.  Variables are idempotent, so the
+compiler holds a run of factors such as ``7*y*x*y`` as one coefficient
+and one monomial, with no table: a signed sum of such runs compiles
+without the polynomial kernel.  Printing, translating to sets,
+evaluating and collecting variables are folds over the tree, all on
+the one iterative fold below, and nodes compare, hash, print, copy and
 pickle with stacks of their own.  Every traversal is iterative, with no
 depth limit: a term may be as long and as deeply nested as memory
 allows.
@@ -499,12 +502,18 @@ def format_term(term: Term, compact: bool = False) -> str:
 # gives: `poly` compiles the code of its text, so text never becomes a
 # tree, and `term_to_poly` reads the code off the tree's postorder.
 #
-# The compiler keeps a stack of values, each a sign and a coefficient
-# table of its own, the value being the sign times the table, keyed by
-# monomial masks over the code's variables as in ``polynomial``.  Unary
-# minus flips the sign, + and - add the smaller table into the larger, and
-# * and ^ run the polynomial kernel's product and power; the root's table
-# becomes the polynomial, and nothing is sorted.
+# The compiler keeps a stack of values, each a coefficient, a monomial
+# mask over the code's variables as in ``polynomial``, and a coefficient
+# table or None for the table 1: the value is their product.  Variables
+# are idempotent, so a run of factors like 7*y*x*y is one coefficient and
+# one mask.  Unary minus negates the coefficient; * multiplies the
+# coefficients, ORs the masks and runs the kernel's product only when both
+# values have tables.  A value with no table joins a sum as one dict
+# update, and of two tables the smaller is added into the larger.  A
+# value's coefficient and mask go into its table, by the kernel's product
+# with one term, only when it meets a sum, a ^ or the root, and not when
+# they are a bare sign; the root's table becomes the polynomial, and
+# nothing is sorted.
 
 
 _TREE_CODE: dict[type, Callable] = {
@@ -520,39 +529,66 @@ _TREE_CODE: dict[type, Callable] = {
 }
 
 
-def _sum(left: tuple[int, dict], right: tuple[int, dict], sign: int) -> tuple[int, dict]:
-    # left + sign * right, added into the larger table
-    (lsign, ltable), (rsign, rtable) = left, right
+def _table(value: tuple[int, int, dict | None]) -> tuple[int, dict]:
+    # A sign and a table whose product is the value: its coefficient and
+    # mask go into the table, unless they are a bare sign.
+    coeff, mask, table = value
+    if table is None:
+        return 1, {mask: coeff}
+    if mask or (coeff != 1 and coeff != -1):
+        return 1, _product({mask: coeff}, table)
+    return coeff, table
+
+
+def _sum(left: tuple, right: tuple, sign: int) -> tuple[int, int, dict]:
+    # left + sign * right, as a sign times a table: a side with no table
+    # is added as one dict update, and of two tables the smaller into the
+    # larger.
+    if right[2] is None:
+        lsign, table = _table(left)
+        mask = right[1]
+        table[mask] = table.get(mask, 0) + lsign * sign * right[0]
+        return lsign, 0, table
+    rsign, table = _table(right)
     rsign *= sign
-    if len(ltable) >= len(rtable):
-        return lsign, _add_into(ltable, rtable, lsign * rsign)
-    return rsign, _add_into(rtable, ltable, lsign * rsign)
+    if left[2] is None:
+        mask = left[1]
+        table[mask] = table.get(mask, 0) + rsign * left[0]
+        return rsign, 0, table
+    lsign, ltable = _table(left)
+    if len(ltable) >= len(table):
+        return lsign, 0, _add_into(ltable, table, lsign * rsign)
+    return rsign, 0, _add_into(table, ltable, lsign * rsign)
 
 
 def _compile(code: list[tuple[str, Any]]) -> Polynomial:
     # The polynomial of postfix code, over the names it mentions.
     names = tuple(sorted({payload for op, payload in code if op == "var"}))
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
-    stack: list[tuple[int, dict]] = []
+    stack: list[tuple[int, int, dict | None]] = []
     push, pop = stack.append, stack.pop
     for op, payload in code:
         if op == "var":
-            push((1, {bit[payload]: 1}))
+            push((1, bit[payload], None))
+        elif op == "*":
+            (rcoeff, rmask, rtable), (lcoeff, lmask, ltable) = pop(), stack[-1]
+            if ltable is None:
+                ltable = rtable
+            elif rtable is not None:
+                ltable = _product(ltable, rtable)
+            stack[-1] = lcoeff * rcoeff, lmask | rmask, ltable
         elif op == "+" or op == "-":
             right = pop()
             stack[-1] = _sum(stack[-1], right, 1 if op == "+" else -1)
-        elif op == "*":
-            (rsign, rtable), (lsign, ltable) = pop(), stack[-1]
-            stack[-1] = lsign * rsign, _product(ltable, rtable)
         elif op == "int":
-            push((1, {0: payload} if payload else {}))
+            push((payload, 0, None))
         elif op == "^":
-            sign, table = stack[-1]
-            stack[-1] = sign if payload & 1 else 1, _power(table, payload)
+            sign, table = _table(stack[-1])
+            stack[-1] = sign if payload & 1 else 1, 0, _power(table, payload)
         else:  # "neg"
-            sign, table = stack[-1]
-            stack[-1] = -sign, table
-    sign, table = stack[0]
+            coeff, mask, table = stack[-1]
+            stack[-1] = -coeff, mask, table
+    sign, table = _table(stack[0])
     if sign < 0:
         table = {mask: -coeff for mask, coeff in table.items()}
     return Polynomial._make(names, table)

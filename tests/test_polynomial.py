@@ -159,7 +159,7 @@ def test_powers_past_the_size_bound_are_refused_at_once():
     start = time.perf_counter()
     bound = boole.polynomial.MAX_POWER_BITS
     assert max(map(abs, ((x + y) ** 40000).terms.values())).bit_length() < bound
-    for text in ("(x+y)^99^99^99^99", "2^99^99^99^99", f"2^{bound}", "(2 - x)^99^99^99"):
+    for text in ("(x+y)^99^99^99^99", "2^99^99^99^99", f"2^{bound}", "(2 - x)^99^99^99", f"(2*x)^{bound}"):
         with pytest.raises(ValueError, match=f"power too large: its coefficients pass {bound} bits"):
             poly(text)
     # Values at 0/1 points of 0 and -1 keep the coefficients small.
@@ -167,6 +167,18 @@ def test_powers_past_the_size_bound_are_refused_at_once():
     assert (x - 1) ** 10_000_000 == 1 - x
     assert poly(f"2^{bound - 1}").constant_value() == 2 ** (bound - 1)
     assert time.perf_counter() - start < 2.0
+
+
+def test_power_of_an_idempotent_with_zero_terms_returns_at_once():
+    # Zero coefficients, as x - x and 0*x leave them, do not hide that a
+    # base is idempotent: squaring it all the way to 9...9 took seconds,
+    # twice as long per added name.
+    constituent = "*".join(f"(1 - y{i})" for i in range(13))
+    expected = poly(constituent)
+    start = time.perf_counter()
+    for base in (constituent, f"x - x + {constituent}", f"0*x + {constituent}"):
+        assert poly(f"({base})^{'9' * 30}") == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_squares_nothing_past_the_size_bound(monkeypatch):

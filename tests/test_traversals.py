@@ -80,6 +80,14 @@ def outcome(function, *args):
 # Differential tests against the recursive oracles
 
 
+def one_term_runs(test):
+    """Examples of runs of factors, which compile to one coefficient and
+    one mask: a zero factor, a repeated name, signs, and powers."""
+    for text in ("0*x*y + x", "(0*x)^5", "x*y*x", "-(2*x)*3*y", "x*y - y*x", "(2*x*y)^3", "(-x*y)^2"):
+        test = example(parse(text))(test)
+    return test
+
+
 @given(terms)
 @example(Pow(Neg(Add(X, Y)), 2))
 @example(Neg(Pow(Neg(Add(X, IntLit(2))), 3)))
@@ -87,6 +95,7 @@ def outcome(function, *args):
 @example(parse("x - (y - (x*y - (1 - x)))"))
 @example(parse("x*(1 + x + y + x*y)"))  # x*1 and x*x meet in x, x*y and x*x*y in x*y
 @example(parse("(x*y)*(x + y + 2*z) - (1 + x)*(1 - x)"))
+@one_term_runs
 def test_compile_matches_oracle(term):
     assert term_to_poly(term).terms == oracle_term_to_poly(term).terms
 
@@ -109,6 +118,7 @@ def reparsed(term):
 @example(Neg(Pow(Neg(Add(X, IntLit(2))), 3)))
 @example(Mul(Neg(X), Neg(Add(X, Y))))
 @example(Add(Neg(Mul(X, Y)), Pow(Pow(Y, 2), 3)))
+@one_term_runs
 def test_text_compiles_as_its_tree(term):
     # poly compiles the parser's postfix code, term_to_poly the tree's
     for compact in (False, True):
@@ -306,6 +316,26 @@ def test_text_compiles_without_a_tree(monkeypatch, text):
     assert poly(text) == expected
     with pytest.raises(AssertionError, match="poly built a tree"):
         parse(text)
+
+
+# 120 summands, each a run of one to four factors: a coefficient (0
+# among them) and names, some repeated, with both signs
+ONE_TERM_SUM = "-" + "".join(
+    "*".join([str(i % 7), NAMES[i % 20], NAMES[i % 3], NAMES[i % 20]][: 1 + i % 4]) + f" {'+-'[i % 2]} " for i in range(120)
+) + "x0"
+
+
+def test_one_term_products_compile_without_the_product_kernel(monkeypatch):
+    # A run of factors is a coefficient and a mask: the kernel's product
+    # runs only where a * meets two tables.
+    expected = oracle_term_to_poly(parse(ONE_TERM_SUM))
+    multiply, calls = boole.terms._product, []
+    monkeypatch.setattr(boole.terms, "_product", lambda p, q: calls.append(1) or multiply(p, q))
+    assert poly(ONE_TERM_SUM) == expected
+    assert term_to_poly(parse(ONE_TERM_SUM)) == expected
+    assert calls == []
+    assert poly("(x + y)*(x - z)") == oracle_term_to_poly(parse("(x + y)*(x - z)"))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("text", [LONG_SUM, DEEP_NEST, LONG_PRODUCT], ids=["sum", "nest", "product"])
