@@ -37,12 +37,24 @@ allows.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Mapping
 
 from ._record import Record, _set
-from .polynomial import ONE, ZERO, Polynomial, _add_into, _decimal, _digits_value, _power, _product, _require_name
+from .polynomial import (
+    ONE,
+    ZERO,
+    Polynomial,
+    _add_into,
+    _coefficient_power,
+    _decimal,
+    _digits_value,
+    _power,
+    _product,
+    _require_name,
+)
 
 __all__ = [
     "Add",
@@ -302,11 +314,12 @@ def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
     return order
 
 
-def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = frozenset()):
-    """Fold a tree bottom-up, visiting the types in `leaves` as leaves.
+def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = frozenset(), order: list | None = None):
+    """Fold a tree bottom-up, visiting the types in `leaves` as leaves;
+    `order` is the tree's `_postorder` with them, if the caller has it.
     Errors come in the order a left-to-right recursion would meet them."""
     values: list = []
-    for node in _postorder(root, leaves):
+    for node in _postorder(root, leaves) if order is None else order:
         kind = type(node)
         combine = visit.get(kind)
         if combine is None:
@@ -583,8 +596,12 @@ def _compile(code: list[tuple[str, Any]]) -> Polynomial:
         elif op == "int":
             push((payload, 0, None))
         elif op == "^":
-            sign, table = _table(stack[-1])
-            stack[-1] = sign if payload & 1 else 1, 0, _power(table, payload)
+            coeff, mask, table = stack[-1]
+            if table is None:
+                stack[-1] = _coefficient_power(coeff, payload), mask, None
+            else:
+                sign, table = _table(stack[-1])
+                stack[-1] = sign if payload & 1 else 1, 0, _power(table, payload)
         else:  # "neg"
             coeff, mask, table = stack[-1]
             stack[-1] = -coeff, mask, table
@@ -622,10 +639,19 @@ def to_term(p: Polynomial) -> Term:
 # ----------------------------------------------------------------------
 # Total interpretability and translation to set expressions
 #
-# A term denotes a class for *every* assignment exactly when all its
-# additions are provably disjoint and all its subtractions provably
-# contained, as polynomial identities.  Such terms translate directly
-# into union/intersection/complement form.
+# A term denotes a class for *every* assignment exactly when each of its
+# additions joins disjoint classes and each subtraction removes a class
+# contained in the other.  Such terms translate directly into
+# union/intersection/complement form.  Every subterm that passes these
+# checks compiles to an idempotent, and a multilinear polynomial is zero
+# exactly when it vanishes at every 0/1 point.  So for idempotents p and
+# q, p*q = 0 exactly when their sets of 0/1 points are disjoint, and
+# q*(1 - p) = 0 exactly when q's points lie in p's: the checks are Boole's
+# partial algebra of classes on the free algebra's universe, the 2^n
+# points of the term's n names.  There a class is a bitmask over the
+# points, and the checks and the operations are single bitwise operations.
+# Above a memory budget a class is its polynomial instead, and the checks
+# multiply polynomials.
 
 
 class NotTotallyInterpretableError(Exception):
@@ -641,38 +667,127 @@ class NotTotallyInterpretableError(Exception):
         self.condition = condition
 
 
-# A value is a pair: the set expression and a function that returns the
-# subterm's polynomial, called only by a + or - above it for its side
-# condition.  A sum or difference hands on the polynomials its own check
-# computed; a product is compiled only when asked, as multiplying out a
-# product of sums can take exponential room.
+# The most bits that the masks of one translation may take at once (32
+# MiB); past it the checks multiply polynomials.
+_MASK_BUDGET_BITS = 1 << 28
 
 
-def _set_literal(node: IntLit) -> tuple[SetExpr, Callable]:
+def _mask_count(order: list) -> tuple[list[str], int]:
+    # The names in a postorder of the translation, and the most bits its
+    # masks take at once: 2**n bits for each of the n names, for the
+    # universe, and for each mask the fold computes and holds, counting at
+    # each +, - or * its operands, its result and one temporary.  The
+    # masks of a name, of 1 and of 0 are shared by all their leaves.
+    names: dict[str, None] = {}
+    computed: list[bool] = []
+    push, pop = computed.append, computed.pop
+    held = most = 0
+    for node in order:
+        kind = type(node)
+        if kind in _BINARY:
+            if held + 2 > most:
+                most = held + 2
+            held += 1 - pop() - computed[-1]
+            computed[-1] = True
+        elif kind is Var:
+            names[node.name] = None
+            push(False)
+        elif kind is not Pow:  # a leaf; a power passes its base on
+            push(False)
+    return list(names), (len(names) + 1 + most) << len(names)
+
+
+class _PointMasks:
+    """Classes as bitmasks over the 2**n points of n names: bit k of a
+    class's mask is its value at the point k."""
+
+    empty = 0
+
+    def __init__(self, names: list[str]):
+        size = 1 << len(names)
+        self.universe = (1 << size) - 1
+        half = size >> 1
+        # Each name's mask is runs of `half` zeros and `half` ones from the
+        # lowest point up, for a `half` that halves from name to name: the
+        # next mask is one shift and one exclusive or away.
+        masks: dict[str, int] = {}
+        mask = self.universe ^ ((1 << half) - 1)
+        for name in names:
+            masks[name] = mask
+            half >>= 1
+            mask ^= mask >> half
+        self.variable = masks.__getitem__
+
+    @staticmethod
+    def meet(node: Mul, s: int, t: int) -> int:
+        return s & t
+
+    @staticmethod
+    def union(s: int, t: int) -> int | None:
+        return None if s & t else s | t
+
+    @staticmethod
+    def difference(s: int, t: int) -> int | None:
+        return None if t & ~s else s ^ t
+
+
+def _polynomial(value: Polynomial | Term) -> Polynomial:
+    return term_to_poly(value) if isinstance(value, Term) else value
+
+
+class _Polynomials:
+    """Classes as their polynomials.  A product stays its subterm until a
+    + or - above it asks for its polynomial, as multiplying out a product
+    of sums can take exponential room; a sum or a difference keeps the
+    polynomial its check computed."""
+
+    empty, universe = ZERO, ONE
+    variable = staticmethod(Polynomial.variable)
+
+    @staticmethod
+    def meet(node: Mul, p: Polynomial | Term, q: Polynomial | Term) -> Mul:
+        return node
+
+    @staticmethod
+    def union(p: Polynomial | Term, q: Polynomial | Term) -> Polynomial | None:
+        p, q = _polynomial(p), _polynomial(q)
+        return None if p * q != ZERO else p + q
+
+    @staticmethod
+    def difference(p: Polynomial | Term, q: Polynomial | Term) -> Polynomial | None:
+        p, q = _polynomial(p), _polynomial(q)
+        rest = ONE - p
+        return None if rest != ZERO and q * rest != ZERO else p - q
+
+
+# A value is a pair: the set expression and the subterm's class in one of
+# the two representations above, which each visit gets first.
+
+
+def _set_literal(classes, node: IntLit) -> tuple:
     if node.value > 1:
         raise NotTotallyInterpretableError(node, _decimal(node.value) + " is not a class")
-    return (SetUniverse(), lambda: ONE) if node.value else (SetEmpty(), lambda: ZERO)
+    return (SetUniverse(), classes.universe) if node.value else (SetEmpty(), classes.empty)
 
 
-def _set_neg(node: Neg):
+def _set_neg(classes, node: Neg):
     raise NotTotallyInterpretableError(node, "unary minus has no class meaning")
 
 
-def _set_add(node: Add, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
-    p, q = left[1](), right[1]()
-    if p * q != ZERO:
+def _set_add(classes, node: Add, left: tuple, right: tuple) -> tuple:
+    union = classes.union(left[1], right[1])
+    if union is None:
         raise NotTotallyInterpretableError(
             node,
             f"{format_term(node.left, compact=True)} and "
             f"{format_term(node.right, compact=True)} are not disjoint",
         )
-    return SetUnion(left[0], right[0]), lambda: p + q
+    return SetUnion(left[0], right[0]), union
 
 
-def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
-    p, q = left[1](), right[1]()
-    rest = ONE - p
-    if rest != ZERO and q * rest != ZERO:
+def _set_sub(classes, node: Sub, left: tuple, right: tuple) -> tuple:
+    difference = classes.difference(left[1], right[1])
+    if difference is None:
         raise NotTotallyInterpretableError(
             node,
             f"{format_term(node.right, compact=True)} is not contained in "
@@ -680,23 +795,27 @@ def _set_sub(node: Sub, left: tuple, right: tuple) -> tuple[SetExpr, Callable]:
         )
     s, complement = left[0], SetComplement(right[0])
     expr = complement if isinstance(s, SetUniverse) else SetIntersection(s, complement)
-    return expr, lambda: p - q
+    return expr, difference
 
 
 _TO_SET: dict[type, Callable] = {
-    Var: lambda node: (SetVar(node.name), lambda: Polynomial.variable(node.name)),
-    One: lambda node: (SetUniverse(), lambda: ONE),
-    Zero: lambda node: (SetEmpty(), lambda: ZERO),
+    Var: lambda classes, node: (SetVar(node.name), classes.variable(node.name)),
+    One: lambda classes, node: (SetUniverse(), classes.universe),
+    Zero: lambda classes, node: (SetEmpty(), classes.empty),
     IntLit: _set_literal,
-    Mul: lambda node, left, right: (SetIntersection(left[0], right[0]), lambda: term_to_poly(node)),
+    Mul: lambda classes, node, left, right: (
+        SetIntersection(left[0], right[0]),
+        classes.meet(node, left[1], right[1]),
+    ),
     Add: _set_add,
     Sub: _set_sub,
     # A power of an idempotent denotes the same class as its base, and
     # every term that translates compiles to an idempotent.
-    Pow: lambda node, base: base,
+    Pow: lambda classes, node, base: base,
     # A leaf: unary minus fails whatever its operand.
     Neg: _set_neg,
 }
+_SET_LEAVES = frozenset({Neg})
 
 
 def to_set_expression(term: Term) -> SetExpr:
@@ -704,7 +823,11 @@ def to_set_expression(term: Term) -> SetExpr:
     union, ``*`` intersection, ``s - t`` becomes s intersected with the
     complement of t (``1 - t`` is plain complement), 1 the universe and
     0 the empty set.  Raises NotTotallyInterpretableError otherwise."""
-    return _fold(term, _TO_SET, frozenset({Neg}))[0]
+    order = _postorder(term, _SET_LEAVES)
+    names, bits = _mask_count(order)
+    classes = _PointMasks(names) if bits <= _MASK_BUDGET_BITS else _Polynomials
+    visit = {kind: partial(function, classes) for kind, function in _TO_SET.items()}
+    return _fold(term, visit, _SET_LEAVES, order)[0]
 
 
 def is_totally_interpretable(term: Term) -> bool:

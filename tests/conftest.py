@@ -91,6 +91,18 @@ def random_term(
     return Pow(random_term(rng, names, depth - 1), rng.randint(1, 3))
 
 
+def constituent_sum(names: list[str], count: int) -> str:
+    """The text of a sum of `count` distinct constituents over `names`,
+    picked as the benchmark picks them: disjoint, so totally
+    interpretable, and which ones depends only on the size."""
+    n = len(names)
+    picked = random.Random(f"constituents:{n}:{count}").sample(range(1 << n), count)
+    return " + ".join(
+        "*".join(name if index >> (n - 1 - i) & 1 else f"(1 - {name})" for i, name in enumerate(names))
+        for index in picked
+    )
+
+
 # ----------------------------------------------------------------------
 # Independent oracles
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import boole.polynomial
 from boole import ONE, ZERO, Polynomial, variables
-from boole.polynomial import _bits, _dense_product, _from_decimal, _spread
+from boole.polynomial import _bits, _dense_product, _from_decimal, _power, _spread
 from boole.terms import poly
 from conftest import WIDE_NAMES, oracle_product, polynomials, wide_polynomials, zero_one_points
 
@@ -159,7 +159,10 @@ def test_powers_past_the_size_bound_are_refused_at_once():
     start = time.perf_counter()
     bound = boole.polynomial.MAX_POWER_BITS
     assert max(map(abs, ((x + y) ** 40000).terms.values())).bit_length() < bound
-    for text in ("(x+y)^99^99^99^99", "2^99^99^99^99", f"2^{bound}", "(2 - x)^99^99^99", f"(2*x)^{bound}"):
+    for text in (
+        "(x+y)^99^99^99^99", "2^99^99^99^99", f"2^{bound}", "(2 - x)^99^99^99", f"(2*x)^{bound}",
+        f"(3*x)^{10**30}", f"(-2*x*y)^{2**24}", "(7*x)^99^99^99",
+    ):
         with pytest.raises(ValueError, match=f"power too large: its coefficients pass {bound} bits"):
             poly(text)
     # Values at 0/1 points of 0 and -1 keep the coefficients small.
@@ -167,6 +170,37 @@ def test_powers_past_the_size_bound_are_refused_at_once():
     assert (x - 1) ** 10_000_000 == 1 - x
     assert poly(f"2^{bound - 1}").constant_value() == 2 ** (bound - 1)
     assert time.perf_counter() - start < 2.0
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except ValueError as error:
+        return str(error)
+
+
+# The first exponent at which |c|^k passes the bound of 65536 bits:
+# 2^65536 has 65537 bits, 3^41348 has 65536 and 3^41349 has 65537; 5^28225
+# is seen to pass only once its last product is built.  A first power is
+# never refused, even of a coefficient that is already past the bound.
+HUGE = 10**20000
+FIRST_REFUSED = {2: 65536, 3: 41349, 5: 28225, HUGE: 2}
+COEFFICIENTS = [pytest.param(str(c), c, id=str(c)) for c in (-3, -2, -1, 0, 1, 2, 3, 5)]
+COEFFICIENTS.append(pytest.param("1" + "0" * 20000, HUGE, id="10^20000"))
+
+
+@pytest.mark.parametrize("text, coeff", COEFFICIENTS)
+def test_one_term_powers_are_refused_where_the_kernel_refuses(text, coeff):
+    # A power of one term is compiled as a power of its coefficient, and
+    # must be refused exactly where the table power would be.
+    assert boole.polynomial.MAX_POWER_BITS == 65536
+    edge = FIRST_REFUSED.get(abs(coeff))
+    exponents = [1, 2, 3, 65535, 65536, 65537, 10**30] if edge is None else [edge - 1, edge, edge + 1]
+    for k in exponents:
+        got = outcome(lambda: poly(f"({text}*x)^{k}"))
+        kernel = outcome(lambda: Polynomial._make(("x",), _power({1: coeff}, k)))
+        assert got == kernel
+        assert isinstance(got, str) == (edge is not None and k >= edge)
 
 
 def test_power_of_an_idempotent_with_zero_terms_returns_at_once():

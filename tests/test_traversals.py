@@ -45,6 +45,7 @@ from boole.terms import (
     to_set_expression,
 )
 from conftest import (
+    constituent_sum,
     oracle_eval_multiset,
     oracle_eval_partial,
     oracle_format_set_expression,
@@ -136,16 +137,93 @@ def test_format_matches_oracle(term, compact):
     assert str(term) == oracle_format_term(term)
 
 
+def translated(term, budget=boole.terms._MASK_BUDGET_BITS):
+    """The outcome of to_set_expression under a mask budget of `budget`
+    bits, and whether it held classes as point masks."""
+    built, masks = [], boole.terms._PointMasks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boole.terms, "_MASK_BUDGET_BITS", budget)
+        patch.setattr(boole.terms, "_PointMasks", lambda names: built.append(1) or masks(names))
+        return outcome(to_set_expression, term), bool(built)
+
+
+def set_cases(test):
+    """Terms that fail each side condition, inside and outside a product or
+    a power, and terms that pass them over an empty or a whole class."""
+    for text in (
+        "x*(y + y)", "(x - y)^2", "x - (x - y)", "(x + x*y)*z", "2*x - x", "x + (1 - x) - y",
+        "(1 - x) - (y - y)", "1 - 1 + x*0", "x*y - x*y*z", "x^3 + (1 - x)^2*y",
+    ):
+        test = example(parse(text))(test)
+    return test
+
+
 @given(terms)
 @example(NEG_INSIDE[0])
 @example(NEG_INSIDE[1])
 @example(NEG_INSIDE[2])
 @example(NEG_INSIDE[3])
+@set_cases
 def test_set_translation_matches_oracle(term):
-    got = outcome(to_set_expression, term)
-    assert got == outcome(oracle_to_set_expression, term)
-    if got[0] == "ok":
-        assert format_set_expression(got[1]) == oracle_format_set_expression(got[1])
+    # The same set expression, or the same message, subterm and condition,
+    # on point masks and, with no budget for them, on polynomials
+    expected = outcome(oracle_to_set_expression, term)
+    assert translated(term) == (expected, True)
+    assert translated(term, -1) == (expected, False)
+    if expected[0] == "ok":
+        assert format_set_expression(expected[1]) == oracle_format_set_expression(expected[1])
+
+
+# Over 30 names one point mask takes 2^30 bits (128 MiB), past the mask
+# budget, so these translate through the polynomial checks.
+W30 = "*".join(f"w{i:02d}" for i in range(30))
+
+
+@pytest.mark.parametrize(
+    "text", [f"{W30} + (1 - w00)", f"{W30} + w29", f"w29 - {W30}", f"{W30} - w29", f"(1 - w00)*{W30}"]
+)
+def test_terms_over_the_mask_budget_match_oracle(text):
+    term = parse(text)
+    assert translated(term) == (outcome(oracle_to_set_expression, term), False)
+
+
+@pytest.mark.parametrize(
+    "text, names, masks",
+    [
+        ("x", 1, 2),
+        ("x*y", 2, 5),
+        ("x0 + (x1 + (x2 + x3))", 4, 8),
+        ("x*y + (y*z + x*z)", 3, 9),
+        ("1 - (1 - (1 - x))", 1, 5),
+        ("-(x*y) + x^2", 1, 4),
+        ("(x*y)^2*(z*w) + u*v", 6, 11),
+    ],
+)
+def test_mask_budget_counts_names_and_held_masks(text, names, masks):
+    # 2^n bits for each name, the universe and the most masks the fold
+    # holds at once, with its result and a temporary at each +, - or *.
+    # A power holds its base's mask, and a unary minus fails unvisited.
+    term = parse(text)
+    expected = outcome(oracle_to_set_expression, term)
+    assert translated(term, masks << names) == (expected, True)
+    assert translated(term, (masks << names) - 1) == (expected, False)
+
+
+def test_constituent_sums_translate_without_polynomials(monkeypatch):
+    # The benchmark's constituent sums, and one over 20 names whose
+    # polynomial checks took about two minutes, are decided on point masks.
+    cases = [([f"y{i:02d}" for i in range(n)], count) for n, count in ((4, 8), (5, 16), (6, 32), (6, 48), (20, 64))]
+    sums = [parse(constituent_sum(names, count)) for names, count in cases]
+    expected = [oracle_to_set_expression(term) for term in sums[:-1]]
+    calls = []
+    for module, name in ((boole.terms, "term_to_poly"), (boole.terms, "_product"), (boole.polynomial, "_product")):
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, function=function: calls.append(1) or function(*args))
+    got = [to_set_expression(term) for term in sums]
+    assert calls == []
+    assert got[:-1] == expected
+    text = str(got[-1])
+    assert (text.count("∪"), text.count("′")) == (63, str(sums[-1]).count("(1 - "))
 
 
 universes = st.integers(min_value=0, max_value=3)
@@ -326,16 +404,21 @@ ONE_TERM_SUM = "-" + "".join(
 
 
 def test_one_term_products_compile_without_the_product_kernel(monkeypatch):
-    # A run of factors is a coefficient and a mask: the kernel's product
-    # runs only where a * meets two tables.
-    expected = oracle_term_to_poly(parse(ONE_TERM_SUM))
-    multiply, calls = boole.terms._product, []
+    # A run of factors is a coefficient and a mask, and so is its power:
+    # the kernel's product runs only where a * meets two tables, and its
+    # power only on a table.
+    expected = [oracle_term_to_poly(parse(text)) for text in (ONE_TERM_SUM, SIGNED_SUM)]
+    multiply, power, calls, powers = boole.terms._product, boole.terms._power, [], []
     monkeypatch.setattr(boole.terms, "_product", lambda p, q: calls.append(1) or multiply(p, q))
-    assert poly(ONE_TERM_SUM) == expected
-    assert term_to_poly(parse(ONE_TERM_SUM)) == expected
-    assert calls == []
+    monkeypatch.setattr(boole.terms, "_power", lambda table, k: powers.append(1) or power(table, k))
+    assert poly(ONE_TERM_SUM) == expected[0]
+    assert term_to_poly(parse(ONE_TERM_SUM)) == expected[0]
+    assert poly(SIGNED_SUM) == expected[1]
+    assert calls == powers == []
     assert poly("(x + y)*(x - z)") == oracle_term_to_poly(parse("(x + y)*(x - z)"))
     assert len(calls) == 1
+    assert poly("(x + y)^2") == oracle_term_to_poly(parse("(x + y)^2"))
+    assert len(powers) == 1
 
 
 @pytest.mark.parametrize("text", [LONG_SUM, DEEP_NEST, LONG_PRODUCT], ids=["sum", "nest", "product"])
