@@ -24,7 +24,7 @@ from typing import Mapping
 from ._record import Record
 from .development import least_point, sigma_assignment
 from .polynomial import Polynomial, check_variable_limit
-from .terms import ParseError, _compile, _read
+from .terms import ParseError, Sub, _compile, _read
 
 __all__ = ["HornSentence", "Verdict", "check_equation", "check_r01", "parse_horn"]
 
@@ -94,30 +94,30 @@ def parse_horn(text: str) -> HornSentence:
     head, arrow, tail = text.partition("->")
     if "->" in tail:
         raise ParseError("more than one '->'", text.index("->", text.index("->") + 2))
-    codes, start = [], 0
+    flats, start = [], 0
     for part in head.split("&") if arrow else [head]:
-        codes.append(_read_equation(part, start))
+        flats.append(_read_equation(part, start))
         start += len(part) + 1
     if arrow:
-        codes.append(_read_equation(tail, len(head) + 2))
-    equations = [_compile(code) for code in codes]
+        flats.append(_read_equation(tail, len(head) + 2))
+    equations = [_compile(flat) for flat in flats]
     return HornSentence(tuple(equations[:-1]), equations[-1])
 
 
 def _read_equation(text: str, start: int) -> list:
-    # The postfix code of the left side minus the right side; `start` is
-    # the offset of `text` in the whole sentence.
+    # The flat form of the left side minus the right side; `start` is the
+    # offset of `text` in the whole sentence.
     left, eq, right = text.partition("=")
     if not eq:
         raise ParseError("expected an equation 'lhs = rhs'", start)
     if "=" in right:
         second = start + len(left) + 1 + right.index("=")
         raise ParseError("more than one '=' in an equation", second)
-    code = []
+    flat = []
     for side, offset in ((left, start), (right, start + len(left) + 1)):
         try:
-            code += _read(side)
+            flat += _read(side)
         except ParseError as error:
             raise ParseError(error.message, offset + error.position) from None
-    code.append(("-", None))
-    return code
+    flat.append((Sub, None))
+    return flat

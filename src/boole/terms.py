@@ -18,20 +18,19 @@ operators associate to the left.  Parse errors carry byte offsets.
 The reader splits text into tokens with one regular-expression scan that
 keeps no positions: the offset of a bad character or a syntax error is
 found by a second scan, only when the error is raised.  The parser is
-one loop with an explicit stack, and its one output is flat postfix
-code: ``(op, payload)`` pairs with children before parents.  ``parse``
-builds a tree from the code in one stack loop, and one compiler turns
-code into a polynomial: ``poly`` compiles the code of its text, so
-compiled text never becomes a tree, and ``term_to_poly`` compiles a
-tree's postorder as the same code.  Variables are idempotent, so the
-compiler holds a run of factors such as ``7*y*x*y`` as one coefficient
-and one monomial, with no table: a signed sum of such runs compiles
-without the polynomial kernel.  Printing, translating to sets,
-evaluating and collecting variables are folds over the tree, all on
-the one iterative fold below, and nodes compare, hash, print, copy and
-pickle with stacks of their own.  Every traversal is iterative, with no
-depth limit: a term may be as long and as deeply nested as memory
-allows.
+one loop with an explicit stack, and its one output is the tree's flat
+form: ``(class, payload)`` pairs in postorder, the payload being the
+node's one field that is not a subtree, or None.  Nodes compare, hash,
+copy and pickle by that form, ``parse`` builds a tree from it in one
+stack loop, and one compiler turns it into a polynomial: ``poly``
+compiles the form of its text, so compiled text never becomes a tree,
+and ``term_to_poly`` the form of a tree.  Variables are idempotent, so
+the compiler holds a run of factors such as ``7*y*x*y`` as one
+coefficient and one monomial, with no table: a signed sum of such runs
+compiles without the polynomial kernel.  Printing, translating to sets,
+evaluating and collecting variables are folds over the tree, all on the
+one iterative fold below.  Every traversal is iterative, with no depth
+limit: a term may be as long and as deeply nested as memory allows.
 """
 
 from __future__ import annotations
@@ -89,35 +88,38 @@ __all__ = [
 ]
 
 
+# Each node class's shape, filled in as the classes are made: how many
+# subtrees it has (its first fields; a binary node's are left and right),
+# a getter of a unary node's subtree, and a getter of its payload, its one
+# other field, or None.  A value that is not a node has the shape _VALUE.
+_SHAPE: dict[type, tuple[int, Callable | None, Callable | None]] = {}
+_VALUE = (0, None, None)
+
+
 class _Node(Record):
-    """Term and set-expression nodes.  ``==``, ``hash`` and ``repr`` walk
-    the tree with their own stacks, so its depth costs no Python frames."""
+    """Term and set-expression nodes.  ``==``, ``hash``, copies and
+    pickles use the tree's flat form, and ``repr`` keeps its own stack,
+    so the depth of a tree costs no Python frames."""
 
     __slots__ = ()
+    _subtrees = 0
 
-    def _flat(self) -> tuple:
-        # The nodes in postorder, each as its class and the fields that
-        # are not subtrees: all of a tree, as a class fixes how many
-        # subtrees its nodes have.
-        flat = []
-        for node in _postorder(self):
-            if isinstance(node, _Node):
-                node = (node.__class__, *node._values()[_subtrees(node.__class__):])
-            flat.append(node)
-        return tuple(flat)
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        count, fields = cls._subtrees, cls._fields
+        subtree = attrgetter(fields[0]) if count == 1 else None
+        _SHAPE[cls] = count, subtree, attrgetter(fields[count]) if len(fields) > count else None
 
     def __reduce__(self) -> tuple:
-        # Copies and pickles ship the flat form, so a deep tree costs the
-        # copier and the pickler no Python frames either.
-        return _unflatten, (self._flat(),)
+        return _unflatten, (_flat(self),)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._flat() == other._flat()  # type: ignore[attr-defined]
+        return _flat(self) == _flat(other)
 
     def __hash__(self) -> int:
-        return hash(self._flat())
+        return hash(_flat(self))
 
     def __repr__(self) -> str:
         pieces, stack = [], [self]
@@ -149,6 +151,7 @@ class _Nullary(_Node):
 
 class _Unary(_Node):
     __slots__ = ("operand",)
+    _subtrees = 1
     operand: _Node
 
     def __init__(self, operand: _Node) -> None:
@@ -157,6 +160,7 @@ class _Unary(_Node):
 
 class _Binary(_Node):
     __slots__ = ("left", "right")
+    _subtrees = 2
     left: _Node
     right: _Node
 
@@ -220,6 +224,7 @@ class Neg(_Unary, Term):
 
 class Pow(Term):
     __slots__ = ("base", "exponent")
+    _subtrees = 1
     base: Term
     exponent: int
 
@@ -268,50 +273,67 @@ class SetComplement(_Unary, SetExpr):
 
 
 # ----------------------------------------------------------------------
-# The fold
+# The flat form and the fold
 #
-# A traversal is a table from node type to a visit function, called with
-# the node and then the values of its children, if any.  The walk keeps
-# its own stack, so the depth of a tree costs no Python frames.
-
-_BINARY = frozenset({Add, Sub, Mul, SetUnion, SetIntersection})
-_UNARY = {Neg: attrgetter("operand"), Pow: attrgetter("base"), SetComplement: attrgetter("operand")}
-
-
-def _subtrees(kind: type) -> int:
-    return 2 if kind in _BINARY else 1 if kind in _UNARY else 0
-
-
-def _unflatten(flat: tuple) -> _Node:
-    # The tree whose `_Node._flat` form is `flat`, built in one stack
-    # loop through the node constructors; an item that is not a node's
-    # entry is a value in a subtree's place, as in Add(1, 2).
-    stack: list = []
-    for item in flat:
-        kind = item[0] if type(item) is tuple and item else None
-        if isinstance(kind, type) and issubclass(kind, _Node):
-            count = _subtrees(kind)
-            item = kind(*stack[len(stack) - count:], *item[1:])
-            del stack[len(stack) - count:]
-        stack.append(item)
-    return stack[0]
+# The flat form lists each node after its children, a left subtree before
+# the right one, and a value in a subtree's place, as in Add(1, 2), as the
+# pair (None, value).  A traversal is a table from node type to a visit
+# function, called with the node and then the values of its children, if
+# any.  Every walk keeps its own stack, so the depth of a tree costs no
+# Python frames.
 
 
 def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
-    """The nodes of a tree, each after its children and a left subtree
-    before the right one; nodes of a type in `leaves` without subtrees."""
+    """The nodes of a tree in postorder; nodes of a unary type in
+    `leaves` without their subtree."""
     order, stack = [], [root]
+    push = stack.append
     while stack:
         node = stack.pop()
         order.append(node)
         kind = type(node)
-        if kind in _BINARY:
-            stack.append(node.left)
-            stack.append(node.right)
-        elif kind in _UNARY and kind not in leaves:
-            stack.append(_UNARY[kind](node))
+        count, subtree, _ = _SHAPE.get(kind, _VALUE)
+        if count == 2:
+            push(node.left)
+            push(node.right)
+        elif count and kind not in leaves:
+            push(subtree(node))
     order.reverse()
     return order
+
+
+def _flat(root: object) -> tuple:
+    # The flat form of a tree, or of a value as its own tree.
+    flat = []
+    append = flat.append
+    for node in _postorder(root):
+        kind = type(node)
+        if kind in _SHAPE:
+            payload = _SHAPE[kind][2]
+            append((kind, payload and payload(node)))
+        else:
+            append((None, node))
+    return tuple(flat)
+
+
+def _unflatten(flat) -> object:
+    # The tree whose flat form is `flat`, built in one stack loop through
+    # the node constructors.
+    stack: list = []
+    push, pop = stack.append, stack.pop
+    for kind, payload in flat:
+        if kind is None:
+            push(payload)
+            continue
+        count, _, field = _SHAPE[kind]
+        if count == 2:
+            right = pop()
+            stack[-1] = kind(stack[-1], right)
+        elif count:
+            stack[-1] = kind(stack[-1], payload) if field else kind(stack[-1])
+        else:
+            push(kind(payload) if field else kind())
+    return stack[0]
 
 
 def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = frozenset(), order: list | None = None):
@@ -324,10 +346,11 @@ def _fold(root: object, visit: Mapping[type, Callable], leaves: frozenset = froz
         combine = visit.get(kind)
         if combine is None:
             raise TypeError(f"unexpected {kind.__name__}: {node!r}")
-        if kind in _BINARY:
+        count = _SHAPE[kind][0]
+        if count == 2:
             right = values.pop()
             values[-1] = combine(node, values[-1], right)
-        elif kind in _UNARY and kind not in leaves:
+        elif count and kind not in leaves:
             values[-1] = combine(node, values[-1])
         else:
             values.append(combine(node))
@@ -356,6 +379,8 @@ class ParseError(Exception):
 _TOKEN = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9_]*|\S")
 # The characters a token may start with: the symbols, digits and letters.
 _STARTS = frozenset("+-*^()0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+# The pairs with no payload that the reader emits, made once.
+_ZERO_PAIR, _ONE_PAIR, _MUL_PAIR, _NEG_PAIR, _ADD_PAIR, _SUB_PAIR = ((k, None) for k in (Zero, One, Mul, Neg, Add, Sub))
 
 
 def _offset(text: str, index: int) -> int:
@@ -365,15 +390,13 @@ def _offset(text: str, index: int) -> int:
     return len(text) if match is None else match.start()
 
 
-def _read(text: str) -> list[tuple[str, Any]]:
-    """The postfix code of `text` read by the grammar: ``(op, payload)``
-    pairs, children before parents and a left operand before the right
-    one.  The ops are "var" with a name, "int" with a nonnegative value,
-    "^" with an exponent, and "*", "neg", "+" and "-" with no payload.
-    Raises ParseError with a byte offset on bad input.
+def _read(text: str) -> list[tuple[type, Any]]:
+    """The flat form of the tree that `text` parses to, read by the
+    grammar with no tree.  Raises ParseError with a byte offset on bad
+    input.
 
-    >>> _read("x - 2*y")
-    [('var', 'x'), ('int', 2), ('var', 'y'), ('*', None), ('-', None)]
+    >>> [(kind.__name__, payload) for kind, payload in _read("x - 2*y")]
+    [('Var', 'x'), ('IntLit', 2), ('Var', 'y'), ('Mul', None), ('Sub', None)]
     """
     # A bad character anywhere is reported before any syntax error, so
     # past this check every token is ASCII: a number is a token that
@@ -383,14 +406,14 @@ def _read(text: str) -> list[tuple[str, Any]]:
         bad = next(match for match in _TOKEN.finditer(text) if match[0][0] not in _STARTS)
         raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
     tokens.append("")
-    code: list[tuple[str, Any]] = []
-    emit = code.append
-    # The expression being read is the operator that joins the next
-    # product to its sum (None before the first product), whether the
-    # product has a factor yet, and whether a leading minus still waits
-    # for the first product.  An open parenthesis saves the enclosing
-    # expression's state and starts afresh.
-    frames: list[tuple[str | None, bool, bool]] = []
+    flat: list[tuple[type, Any]] = []
+    emit = flat.append
+    # The expression being read is the pair that joins the next product to
+    # its sum (None before the first product), whether the product has a
+    # factor yet, and whether a leading minus still waits for the first
+    # product.  An open parenthesis saves the enclosing expression's state
+    # and starts afresh.
+    frames: list[tuple[tuple | None, bool, bool]] = []
     op, factored, negate = None, False, tokens[0] == "-"
     pos = int(negate)
     while True:
@@ -403,9 +426,10 @@ def _read(text: str) -> list[tuple[str, Any]]:
             pos += negate
             continue
         if token.isdigit():
-            emit(("int", _digits_value(token)))
+            value = _digits_value(token)
+            emit((IntLit, value) if value > 1 else _ONE_PAIR if value else _ZERO_PAIR)
         elif token.isidentifier():
-            emit(("var", token))
+            emit((Var, token))
         else:
             raise ParseError("expected a number, a variable or '('", _offset(text, pos - 1))
         # A complete factor; it may complete the product, the sum and the
@@ -418,27 +442,27 @@ def _read(text: str) -> list[tuple[str, Any]]:
                 value = _digits_value(token)
                 if value == 0:
                     raise ParseError("exponent must be at least 1", _offset(text, pos + 1))
-                emit(("^", value))
+                emit((Pow, value))
                 pos += 2
             if factored:
-                emit(("*", None))
+                emit(_MUL_PAIR)
             token = tokens[pos]
             if token == "*":
                 factored = True
                 break
             if negate:
-                emit(("neg", None))
+                emit(_NEG_PAIR)
                 negate = False
             if op:
-                emit((op, None))
+                emit(op)
             factored = False
             if token == "+" or token == "-":
-                op = token
+                op = _ADD_PAIR if token == "+" else _SUB_PAIR
                 break
             if not frames:
                 if token:
                     raise ParseError("unexpected trailing input", _offset(text, pos))
-                return code
+                return flat
             if token != ")":
                 raise ParseError("expected ')'", _offset(text, pos))
             op, factored, negate = frames.pop()
@@ -449,21 +473,7 @@ def _read(text: str) -> list[tuple[str, Any]]:
 def parse(text: str) -> Term:
     """Parse concrete syntax into a Term; raises ParseError with a byte
     offset on bad input."""
-    stack: list[Term] = []
-    push = stack.append
-    for op, payload in _read(text):
-        if op == "var":
-            push(Var(payload))
-        elif op == "int":
-            push(Zero() if payload == 0 else One() if payload == 1 else IntLit(payload))
-        elif op == "^":
-            stack[-1] = Pow(stack[-1], payload)
-        elif op == "neg":
-            stack[-1] = Neg(stack[-1])
-        else:
-            right = stack.pop()
-            stack[-1] = (Add if op == "+" else Sub if op == "-" else Mul)(stack[-1], right)
-    return stack[0]
+    return _unflatten(_read(text))
 
 
 # ----------------------------------------------------------------------
@@ -511,12 +521,13 @@ def format_term(term: Term, compact: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Compilation to polynomials
 #
-# Both text and trees compile through the postfix code that `_read`
-# gives: `poly` compiles the code of its text, so text never becomes a
-# tree, and `term_to_poly` reads the code off the tree's postorder.
+# One compiler turns a tree's flat form into a polynomial, dispatching on
+# each pair's class: `poly` compiles the form that `_read` gives for its
+# text, so text never becomes a tree, and `term_to_poly` compiles the
+# tree's own form once it has checked that every class in it compiles.
 #
 # The compiler keeps a stack of values, each a coefficient, a monomial
-# mask over the code's variables as in ``polynomial``, and a coefficient
+# mask over the form's variables as in ``polynomial``, and a coefficient
 # table or None for the table 1: the value is their product.  Variables
 # are idempotent, so a run of factors like 7*y*x*y is one coefficient and
 # one mask.  Unary minus negates the coefficient; * multiplies the
@@ -526,20 +537,8 @@ def format_term(term: Term, compact: bool = False) -> str:
 # value's coefficient and mask go into its table, by the kernel's product
 # with one term, only when it meets a sum, a ^ or the root, and not when
 # they are a bare sign; the root's table becomes the polynomial, and
-# nothing is sorted.
-
-
-_TREE_CODE: dict[type, Callable] = {
-    Var: lambda node: ("var", node.name),
-    Zero: lambda node: ("int", 0),
-    One: lambda node: ("int", 1),
-    IntLit: lambda node: ("int", node.value),
-    Add: lambda node: ("+", None),
-    Sub: lambda node: ("-", None),
-    Mul: lambda node: ("*", None),
-    Neg: lambda node: ("neg", None),
-    Pow: lambda node: ("^", node.exponent),
-}
+# nothing is sorted.  The classes that compile are the term nodes.
+_COMPILED = frozenset({Var, Zero, One, IntLit, Add, Sub, Mul, Neg, Pow})
 
 
 def _table(value: tuple[int, int, dict | None]) -> tuple[int, dict]:
@@ -574,35 +573,37 @@ def _sum(left: tuple, right: tuple, sign: int) -> tuple[int, int, dict]:
     return rsign, 0, _add_into(table, ltable, lsign * rsign)
 
 
-def _compile(code: list[tuple[str, Any]]) -> Polynomial:
-    # The polynomial of postfix code, over the names it mentions.
-    names = tuple(sorted({payload for op, payload in code if op == "var"}))
+def _compile(flat: list | tuple) -> Polynomial:
+    # The polynomial of a term's flat form, over the names it mentions.
+    names = tuple(sorted({payload for kind, payload in flat if kind is Var}))
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
     stack: list[tuple[int, int, dict | None]] = []
     push, pop = stack.append, stack.pop
-    for op, payload in code:
-        if op == "var":
+    for kind, payload in flat:
+        if kind is Var:
             push((1, bit[payload], None))
-        elif op == "*":
+        elif kind is Mul:
             (rcoeff, rmask, rtable), (lcoeff, lmask, ltable) = pop(), stack[-1]
             if ltable is None:
                 ltable = rtable
             elif rtable is not None:
                 ltable = _product(ltable, rtable)
             stack[-1] = lcoeff * rcoeff, lmask | rmask, ltable
-        elif op == "+" or op == "-":
+        elif kind is Add or kind is Sub:
             right = pop()
-            stack[-1] = _sum(stack[-1], right, 1 if op == "+" else -1)
-        elif op == "int":
+            stack[-1] = _sum(stack[-1], right, 1 if kind is Add else -1)
+        elif kind is IntLit:
             push((payload, 0, None))
-        elif op == "^":
+        elif kind is Zero or kind is One:
+            push((0 if kind is Zero else 1, 0, None))
+        elif kind is Pow:
             coeff, mask, table = stack[-1]
             if table is None:
                 stack[-1] = _coefficient_power(coeff, payload), mask, None
             else:
                 sign, table = _table(stack[-1])
                 stack[-1] = sign if payload & 1 else 1, 0, _power(table, payload)
-        else:  # "neg"
+        else:  # Neg
             coeff, mask, table = stack[-1]
             stack[-1] = -coeff, mask, table
     sign, table = _table(stack[0])
@@ -614,19 +615,17 @@ def _compile(code: list[tuple[str, Any]]) -> Polynomial:
 def term_to_poly(term: Term) -> Polynomial:
     """Compile a term to its canonical polynomial (powers computed with
     the flattening product, so idempotence of variables is built in)."""
-    code: list = []
-    for node in _postorder(term):
-        entry = _TREE_CODE.get(type(node))
-        if entry is None:
-            raise TypeError(f"unexpected {type(node).__name__}: {node!r}")
-        code.append(entry(node))
-    return _compile(code)
+    flat = _flat(term)
+    if not _COMPILED.issuperset(map(itemgetter(0), flat)):
+        node = next(node for node in _postorder(term) if type(node) not in _COMPILED)
+        raise TypeError(f"unexpected {type(node).__name__}: {node!r}")
+    return _compile(flat)
 
 
 def poly(text: str) -> Polynomial:
     """Parse and compile in one step: ``poly("x + y - 2*x*y")``.  The
-    whole text is read to postfix code, with no tree, before anything is
-    compiled."""
+    whole text is read to its tree's flat form, with no tree, before
+    anything is compiled."""
     return _compile(_read(text))
 
 
@@ -684,7 +683,7 @@ def _mask_count(order: list) -> tuple[list[str], int]:
     held = most = 0
     for node in order:
         kind = type(node)
-        if kind in _BINARY:
+        if _SHAPE.get(kind, _VALUE)[0] == 2:
             if held + 2 > most:
                 most = held + 2
             held += 1 - pop() - computed[-1]

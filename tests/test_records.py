@@ -158,6 +158,16 @@ def test_equality_matches_the_oracle_between_every_pair():
     assert NEW.Var("x") != "x" and NEW.Universe(1) != 1 and NEW.Add(1, 2) != (1, 2)
 
 
+def test_a_value_in_a_subtree_place_stays_a_value():
+    # A tuple that looks like a node's entry in the flat form is a value,
+    # not the node: it compares unequal to the node, and copies and
+    # pickles keep it.
+    value, node = NEW.Add(NEW.Var("x"), (NEW.Zero,)), NEW.Add(NEW.Var("x"), NEW.Zero())
+    assert value != node and not value == node
+    for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and twin.right == (NEW.Zero,)
+
+
 @pytest.mark.parametrize("case", range(len(INVALID)))
 def test_validation_errors_match_the_oracle(case):
     new = outcome(INVALID[case], NEW)

@@ -114,12 +114,28 @@ def read_outcome(read, text):
         return error.message, error.position
 
 
+# The oracle reads to (op, payload) code; each op is one node class of
+# the flat form, and "int" one of three by its value.
+ORACLE_OPS = {"var": Var, "^": Pow, "*": Mul, "neg": Neg, "+": Add, "-": Sub}
+
+
+def oracle_flat(text):
+    flat = []
+    for op, payload in oracle_read(text):
+        if op == "int":
+            flat.append((IntLit, payload) if payload > 1 else (One, None) if payload else (Zero, None))
+        else:
+            flat.append((ORACLE_OPS[op], payload))
+    return flat
+
+
 @given(st.text(st.sampled_from(READER_ALPHABET), max_size=30))
 @example("x_ + _y")
 @example("x^ 2_ + y")
 @example("(x + \u3000y)^0")
+@example("0 + 1*00 - 007")
 def test_reader_matches_the_character_loop(text):
-    assert read_outcome(_read, text) == read_outcome(oracle_read, text)
+    assert read_outcome(_read, text) == read_outcome(oracle_flat, text)
 
 
 def test_reader_skips_exactly_the_whitespace():

@@ -2,12 +2,12 @@
 far deeper than Python's recursion limit.
 
 Every traversal of a Term or SetExpr runs on one iterative fold, except
-compiling, which runs the postfix code that the parser emits for text and
-that a tree's postorder gives for a tree through one compiler.  The
-oracles in conftest are the direct recursions; here they are compared
-result for result and error for error, including where a unary minus
-sits inside a product, a sum or a power (set translation rejects a unary
-minus before looking at its operand, partial evaluation looks first).
+compiling, which runs one compiler on a tree's flat form: the parser
+emits it for text, and a tree gives its own.  The oracles in conftest
+are the direct recursions; here they are compared result for result and
+error for error, including where a unary minus sits inside a product, a
+sum or a power (set translation rejects a unary minus before looking at
+its operand, partial evaluation looks first).
 """
 
 import copy
@@ -32,9 +32,12 @@ from boole.terms import (
     NotTotallyInterpretableError,
     One,
     Pow,
+    SetVar,
     Sub,
     Var,
     Zero,
+    _flat,
+    _read,
     eval_set_expression,
     format_set_expression,
     format_term,
@@ -121,11 +124,13 @@ def reparsed(term):
 @example(Add(Neg(Mul(X, Y)), Pow(Pow(Y, 2), 3)))
 @one_term_runs
 def test_text_compiles_as_its_tree(term):
-    # poly compiles the parser's postfix code, term_to_poly the tree's
+    # poly compiles the flat form that the parser reads, term_to_poly the
+    # tree's own, and the two are the same
     for compact in (False, True):
         text = format_term(term, compact)
         tree = parse(text)
         assert tree == reparsed(term)
+        assert tuple(_read(text)) == _flat(tree)
         expected = outcome(oracle_term_to_poly, tree)
         assert outcome(poly, text) == expected
         assert outcome(term_to_poly, tree) == expected
@@ -292,6 +297,10 @@ def test_errors_for_what_is_not_a_node():
         format_set_expression(5)
     with pytest.raises(TypeError, match="unexpected Var: Var"):
         format_set_expression(X)
+    with pytest.raises(TypeError, match=r"^unexpected SetVar: SetVar\(name='y'\)$"):
+        term_to_poly(Add(X, SetVar("y")))
+    with pytest.raises(TypeError, match="^unexpected int: 5$"):
+        term_to_poly(5)
 
 
 # ----------------------------------------------------------------------
