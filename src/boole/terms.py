@@ -27,7 +27,9 @@ compiles the form of its text, so compiled text never becomes a tree,
 and ``term_to_poly`` the form of a tree.  Variables are idempotent, so
 the compiler holds a run of factors such as ``7*y*x*y`` as one
 coefficient and one monomial, with no table: a signed sum of such runs
-compiles without the polynomial kernel.  Printing, translating to sets,
+compiles without the polynomial kernel, and a ``+`` or ``-`` defers such
+a factor over a table instead of multiplying it out, so compiling takes
+time linear in the text.  Printing, translating to sets,
 evaluating and collecting variables are folds over the tree, all on the
 one iterative fold below.  Every traversal is iterative, with no depth
 limit: a term may be as long and as deeply nested as memory allows.
@@ -303,16 +305,26 @@ def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
 
 
 def _flat(root: object) -> tuple:
-    # The flat form of a tree, or of a value as its own tree.
-    flat = []
-    append = flat.append
-    for node in _postorder(root):
+    # The flat form of a tree, or of a value as its own tree: each node's
+    # pair as it is popped, a right subtree popped before the left one, in
+    # reverse.
+    flat, stack = [], [root]
+    append, push = flat.append, stack.append
+    while stack:
+        node = stack.pop()
         kind = type(node)
-        if kind in _SHAPE:
-            payload = _SHAPE[kind][2]
-            append((kind, payload and payload(node)))
-        else:
+        shape = _SHAPE.get(kind)
+        if shape is None:
             append((None, node))
+            continue
+        count, subtree, payload = shape
+        append((kind, payload and payload(node)))
+        if count == 2:
+            push(node.left)
+            push(node.right)
+        elif count:
+            push(subtree(node))
+    flat.reverse()
     return tuple(flat)
 
 
@@ -527,89 +539,132 @@ def format_term(term: Term, compact: bool = False) -> str:
 # tree's own form once it has checked that every class in it compiles.
 #
 # The compiler keeps a stack of values, each a coefficient, a monomial
-# mask over the form's variables as in ``polynomial``, and a coefficient
-# table or None for the table 1: the value is their product.  Variables
-# are idempotent, so a run of factors like 7*y*x*y is one coefficient and
-# one mask.  Unary minus negates the coefficient; * multiplies the
-# coefficients, ORs the masks and runs the kernel's product only when both
-# values have tables.  A value with no table joins a sum as one dict
-# update, and of two tables the smaller is added into the larger.  A
-# value's coefficient and mask go into its table, by the kernel's product
-# with one term, only when it meets a sum, a ^ or the root, and not when
-# they are a bare sign; the root's table becomes the polynomial, and
-# nothing is sorted.  The classes that compile are the term nodes.
+# mask over the form's variables as in ``polynomial``, a coefficient table
+# or None for a lone term, and a list of deferred values or None: the
+# value is coefficient * mask * (table + the sum of the deferred values).
+# Variables are idempotent, so a run of factors like 7*y*x*y is one
+# coefficient and one mask.  Unary minus negates the coefficient; *
+# multiplies the coefficients, ORs the masks and runs the kernel's product
+# only when both values have tables.  At + and -, a lone term joins the
+# other side's table as one dict update; a side with a pending mask, or a
+# coefficient other than 1 or -1, joins the other side's list, with its
+# sign folded in, and is not multiplied out; and of two tables under bare
+# signs the smaller is added into the larger.  So compiling takes time
+# linear in the form: one walk, `_flatten`, pushes the deferred values'
+# coefficients and masks down into one table, and runs only at the root,
+# at a ^ on a table and at a * between two tables.  A coefficient of 1 or
+# -1 stays outside the table at a ^, so a negated idempotent is its own
+# power at once.  The root's table becomes the polynomial, and nothing is
+# sorted.
+# The classes that compile are the term nodes.
 _COMPILED = frozenset({Var, Zero, One, IntLit, Add, Sub, Mul, Neg, Pow})
 
 
-def _table(value: tuple[int, int, dict | None]) -> tuple[int, dict]:
-    # A sign and a table whose product is the value: its coefficient and
-    # mask go into the table, unless they are a bare sign.
-    coeff, mask, table = value
+def _flatten(coeff: int, mask: int, table: dict | None, parts: list | None) -> dict:
+    # The table of the value (coeff, mask, table, parts), in one walk with
+    # its own stack that adds each deferred value's terms, times the
+    # coefficients and masks above it, into one table: `table` itself
+    # when coeff is 1 and mask is 0.  A deferred value is never lone.
     if table is None:
-        return 1, {mask: coeff}
+        return {mask: coeff}
+    if mask or coeff != 1:
+        table, parts = {}, [(coeff, mask, table, parts)]
+    todo = parts or []
+    while todo:
+        coeff, mask, terms, parts = todo.pop()
+        if mask:
+            for key, value in terms.items():
+                key |= mask
+                table[key] = table.get(key, 0) + coeff * value
+        else:
+            _add_into(table, terms, coeff)
+        if parts:
+            todo += [(coeff * c, mask | m, t, p) for c, m, t, p in parts]
+    return table
+
+
+def _host(value: tuple) -> tuple[int, dict, list | None]:
+    # The value as a sign, a table and a list of deferred values that
+    # another value may join: a lone term becomes a table, and a value with
+    # a factor pending the one deferred value.
+    coeff, mask, table, parts = value
+    if table is None:
+        return 1, {mask: coeff}, None
     if mask or (coeff != 1 and coeff != -1):
-        return 1, _product({mask: coeff}, table)
-    return coeff, table
+        return 1, {}, [value]
+    return coeff, table, parts
 
 
-def _sum(left: tuple, right: tuple, sign: int) -> tuple[int, int, dict]:
-    # left + sign * right, as a sign times a table: a side with no table
-    # is added as one dict update, and of two tables the smaller into the
-    # larger.
-    if right[2] is None:
-        lsign, table = _table(left)
-        mask = right[1]
-        table[mask] = table.get(mask, 0) + lsign * sign * right[0]
-        return lsign, 0, table
-    rsign, table = _table(right)
-    rsign *= sign
-    if left[2] is None:
-        mask = left[1]
-        table[mask] = table.get(mask, 0) + rsign * left[0]
-        return rsign, 0, table
-    lsign, ltable = _table(left)
-    if len(ltable) >= len(table):
-        return lsign, 0, _add_into(ltable, table, lsign * rsign)
-    return rsign, 0, _add_into(table, ltable, lsign * rsign)
+def _sum(left: tuple, right: tuple, sign: int) -> tuple:
+    # left + sign * right: one side joins the other, which keeps its table.
+    # A lone term joins as one dict update, a value with a factor pending
+    # as one deferred value, and the smaller of two bare tables (tables
+    # under a sign, with no factor pending) is added into the larger, its
+    # deferred values joining as one.
+    lcoeff, lmask, ltable, lparts = left
+    rcoeff, rmask, rtable, rparts = right
+    bare = ltable is not None and not lmask and (lcoeff == 1 or lcoeff == -1)
+    if rtable is None and bare:
+        # The commonest case, as in a long sum: the left side stays the value.
+        ltable[rmask] = ltable.get(rmask, 0) + lcoeff * sign * rcoeff
+        return left
+    if rtable is None or rmask or (rcoeff != 1 and rcoeff != -1) or (bare and len(ltable) >= len(rtable)):
+        hsign, table, parts = _host(left)
+        coeff, mask, terms, rest = rcoeff * sign, rmask, rtable, rparts
+    else:
+        hsign, table, parts = _host(right)
+        hsign *= sign
+        coeff, mask, terms, rest = left
+    coeff *= hsign
+    if terms is None:
+        table[mask] = table.get(mask, 0) + coeff
+        return hsign, 0, table, parts
+    if not mask and (coeff == 1 or coeff == -1):
+        _add_into(table, terms, coeff)
+        if not rest:
+            return hsign, 0, table, parts
+        terms = {}
+    if parts is None:
+        parts = []
+    parts.append((coeff, mask, terms, rest))
+    return hsign, 0, table, parts
 
 
 def _compile(flat: list | tuple) -> Polynomial:
     # The polynomial of a term's flat form, over the names it mentions.
     names = tuple(sorted({payload for kind, payload in flat if kind is Var}))
     bit = {name: 1 << i for i, name in enumerate(reversed(names))}
-    stack: list[tuple[int, int, dict | None]] = []
+    stack: list[tuple[int, int, dict | None, list | None]] = []
     push, pop = stack.append, stack.pop
     for kind, payload in flat:
         if kind is Var:
-            push((1, bit[payload], None))
+            push((1, bit[payload], None, None))
         elif kind is Mul:
-            (rcoeff, rmask, rtable), (lcoeff, lmask, ltable) = pop(), stack[-1]
+            (rcoeff, rmask, rtable, rparts), (lcoeff, lmask, ltable, lparts) = pop(), stack[-1]
             if ltable is None:
-                ltable = rtable
+                ltable, lparts = rtable, rparts
             elif rtable is not None:
-                ltable = _product(ltable, rtable)
-            stack[-1] = lcoeff * rcoeff, lmask | rmask, ltable
+                ltable, lparts = _product(_flatten(1, 0, ltable, lparts), _flatten(1, 0, rtable, rparts)), None
+            stack[-1] = lcoeff * rcoeff, lmask | rmask, ltable, lparts
         elif kind is Add or kind is Sub:
             right = pop()
             stack[-1] = _sum(stack[-1], right, 1 if kind is Add else -1)
         elif kind is IntLit:
-            push((payload, 0, None))
+            push((payload, 0, None, None))
         elif kind is Zero or kind is One:
-            push((0 if kind is Zero else 1, 0, None))
+            push((0 if kind is Zero else 1, 0, None, None))
         elif kind is Pow:
-            coeff, mask, table = stack[-1]
+            coeff, mask, table, parts = stack[-1]
             if table is None:
-                stack[-1] = _coefficient_power(coeff, payload), mask, None
+                stack[-1] = _coefficient_power(coeff, payload), mask, None, None
             else:
-                sign, table = _table(stack[-1])
-                stack[-1] = sign if payload & 1 else 1, 0, _power(table, payload)
+                sign = coeff if coeff == 1 or coeff == -1 else 1
+                table = _power(_flatten(coeff * sign, mask, table, parts), payload)
+                stack[-1] = sign if payload & 1 else 1, 0, table, None
         else:  # Neg
-            coeff, mask, table = stack[-1]
-            stack[-1] = -coeff, mask, table
-    sign, table = _table(stack[0])
-    if sign < 0:
-        table = {mask: -coeff for mask, coeff in table.items()}
-    return Polynomial._make(names, table)
+            coeff, mask, table, parts = stack[-1]
+            stack[-1] = -coeff, mask, table, parts
+    return Polynomial._make(names, _flatten(*stack[0]))
 
 
 def term_to_poly(term: Term) -> Polynomial:

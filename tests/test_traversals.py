@@ -104,6 +104,46 @@ def test_compile_matches_oracle(term):
     assert term_to_poly(term).terms == oracle_term_to_poly(term).terms
 
 
+# The heads of a nest's levels: runs of factors with coefficients and
+# masks, a zero coefficient and a repeated name among them, factors that
+# are tables, and a sum that defers a factor.  A level joins its head to
+# the rest of the nest with a sign, a product, a unary minus or a power.
+NEST_HEADS = ("x", "y*z", "2*x", "3*x*y*x", "0*z", "(x - z)", "(1 + y)*w", "(x + 2*y)^2", "(w - x*(y - z))")
+NEST_LEVELS = (
+    "{} + ({})", "{} - ({})", "{} * ({})", "{} * (-({}))", "{} - (({})^2)", "{} + ({})^3",
+    "({} + w)*({})", "{}*x*({})", "{} - 2*y*({})", "-({1}) + {0}",
+)
+
+
+@st.composite
+def nests(draw):
+    text = draw(st.sampled_from(NEST_HEADS))
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        text = draw(st.sampled_from(NEST_LEVELS)).format(draw(st.sampled_from(NEST_HEADS)), text)
+    return text
+
+
+@given(nests())
+@example("x*(y - (2*z + (3*w*((x + y) - x*(1 - w)))))")
+@example("-(2*x*(y + z)) - (3*y*(x - w) + (x + z)*(y - 2*w))")
+@example("(w + x*(y - z)) - (y + z*(x + w))")
+@example("-(x + y) + z")
+def test_nests_compile_as_the_oracle(text):
+    # Pending coefficients and masks deferred at + and -, under unary
+    # minus, powers and products of two tables
+    assert outcome(poly, text) == outcome(oracle_term_to_poly, parse(text))
+
+
+@pytest.mark.parametrize("count", [1, 3, 6, 10])
+def test_negated_idempotent_powers_return_at_once(count):
+    # The sign of -(c)^k stays outside the table of an idempotent c, which
+    # is its own power, so a 30-digit exponent costs one squaring.
+    constituent = constituent_sum(NAMES[:count], 1)
+    start = time.perf_counter()
+    assert poly(f"(-({constituent}))^{'9' * 30}") == -poly(constituent)
+    assert time.perf_counter() - start < 1
+
+
 def reparsed(term):
     """The tree that parsing the term's printed form gives: the literals
     0 and 1 read back as Zero and One."""
@@ -387,7 +427,15 @@ def test_long_product():
 
 # 200 summands, with a leading minus, powers and both signs
 SIGNED_SUM = "-" + "".join(f"{i % 9 + 1}*{NAMES[i % 20]}^{i % 3 + 1} {'+-'[i % 2]} " for i in range(199)) + "7"
-SPINE_50 = "".join(f"d{i} {'+*-'[i % 3]} (" for i in range(50)) + "d50" + ")" * 50
+
+
+def spine(depth):
+    """d0 + (d1 * (d2 - (d3 + (d4 * ...)))), `depth` parentheses deep: each
+    product has a one-term factor."""
+    return "".join(f"d{i} {'+*-'[i % 3]} (" for i in range(depth)) + f"d{depth}" + ")" * depth
+
+
+SPINE_50, SPINE = spine(50), spine(300)
 
 
 @pytest.mark.parametrize("text", [SIGNED_SUM, SPINE_50], ids=["sum", "nest"])
@@ -430,6 +478,20 @@ def test_one_term_products_compile_without_the_product_kernel(monkeypatch):
     assert len(powers) == 1
 
 
+def test_nested_sums_compile_without_the_product_kernel(monkeypatch):
+    # In d0 + (d1 * (d2 - ...)) every product has a one-term factor, whose
+    # coefficient and mask a + or - above it defers instead of multiplying
+    # into the table: the kernel's product never runs.
+    expected = oracle_term_to_poly(parse(SPINE))
+
+    def no_product(p, q):
+        raise AssertionError("the product kernel ran")
+
+    monkeypatch.setattr(boole.terms, "_product", no_product)
+    assert poly(SPINE) == expected
+    assert term_to_poly(parse(SPINE)) == expected
+
+
 @pytest.mark.parametrize("text", [LONG_SUM, DEEP_NEST, LONG_PRODUCT], ids=["sum", "nest", "product"])
 @pytest.mark.parametrize(
     "command",
@@ -451,8 +513,6 @@ WIDE_PRODUCT = "*".join(f"(1 - y{i})" for i in range(30))
 # y0 + (y1 + (y2 + ...)) and y0 - (y1 - (y2 - ...)), nested to the right
 RIGHT_SUM = " + (".join(f"y{i}" for i in range(20000)) + ")" * 19999
 RIGHT_DIFFERENCE = RIGHT_SUM.replace("+", "-")
-# d0 + (d1 * (d2 - (d3 + (d4 * ...)))): each product has a one-term factor
-SPINE = "".join(f"d{i} {'+*-'[i % 3]} (" for i in range(300)) + "d300" + ")" * 300
 
 
 def test_wide_product_is_not_multiplied_out(capsys, monkeypatch):
@@ -481,6 +541,31 @@ def test_right_nested_difference_compiles_without_negating_each_level():
     start = time.perf_counter()
     table = term_to_poly(parse(RIGHT_DIFFERENCE)).terms
     assert [table[(f"y{i}",)] for i in range(20000)] == [1, -1] * 10000
+    assert time.perf_counter() - start < 5
+
+
+def test_nested_sums_compile_in_linear_time():
+    # A 12,000-level spine is about 120 KB of text.  Multiplying each
+    # pending factor out at the + or - above it took 16-19 s for each
+    # call.  Its 8001 monomials are never turned into name tuples here.
+    text = spine(12000)
+    start = time.perf_counter()
+    compiled = poly(text)
+    assert term_to_poly(parse(text)) == compiled
+    assert time.perf_counter() - start < 5
+    assert len(compiled._table) == 8001
+    assert set(compiled._table.values()) == {1, -1}
+
+
+def test_deferred_factors_of_a_long_sum_compile_in_linear_time():
+    # y0*(a + b) + y1*(a + b) + ...: 20,000 summands, each a pending factor
+    # over a table, deferred one by one into the same sum.  The names
+    # repeat every 100 summands, so that masks stay small.
+    text = " + ".join(f"y{i % 100}*(a + b)" for i in range(20000))
+    expected = Polynomial({(f"y{i}", name): 200 for i in range(100) for name in "ab"})
+    start = time.perf_counter()
+    assert poly(text) == expected
+    assert term_to_poly(parse(text)) == expected
     assert time.perf_counter() - start < 5
 
 
