@@ -3,9 +3,9 @@
 Equations and quasi-equations valid for integers restricted to {0, 1}
 are exactly the ones valid in the algebra of classes, so trying every
 0/1 point is a full decision procedure.  The checker tries them as a
-branch-and-prune search and skips every subcube on which the answer is
-already known; an equation needs no trying at all, only one walk down
-its variables.
+branch-and-prune search: it fixes the variables an antecedent forces,
+then skips every subcube on which the answer is already known; an
+equation needs no trying at all, only one walk down its variables.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 
@@ -49,16 +49,19 @@ print("when it vanishes at every 0/1 point, so each variable in turn is set")
 print("to 0 if the polynomial stays nonzero there and to 1 otherwise.  This")
 print("equation fails only at the last of 2**20 points:")
 timed("20-variable equation", "*".join(names) + " = 0")
-print("A quasi-equation is scanned.  A subcube is skipped when the consequent")
-print("is the zero polynomial on it or an antecedent is a nonzero constant")
-print("there.  One with at most 17 free variables is scanned whole, the")
-print("sentence folded into one polynomial (2B+1)*(sum of the antecedents'")
-print("squares) + consequent, for B the sum of the consequent's coefficients")
-print("in absolute value: it is nonzero and at most B in size exactly at a")
-print("witness.  So this 20-variable quasi-equation takes three splits and")
-print("one scan:")
+print("A quasi-equation first fixes the names its antecedents force: when")
+print("setting a variable to 0 (or 1) makes an antecedent a nonzero constant,")
+print("no witness has it there.  This antecedent forces all 20 variables to")
+print("1, where the consequent is 0, so nothing is split or scanned:")
 timed("20-variable demo", "*".join(names) + " = 1 -> " + total + " = 20")
-print("Here neither rule fires: the antecedent is constant only at single")
-print("points and the square never vanishes on a subcube, so all 2**3")
-print("subcubes of 2**17 points are scanned:")
+print("Otherwise the free variables are split and scanned.  A subcube is")
+print("skipped when the consequent is the zero polynomial on it or an")
+print("antecedent is a nonzero constant there.  One with at most 17 free")
+print("variables is scanned whole, the sentence folded into one polynomial")
+print("(2B+1)*(sum of the antecedents' squares) + consequent, for B the sum")
+print("of the consequent's coefficients in absolute value: it is nonzero and")
+print("at most B in size exactly at a witness.  Here no rule fires: nothing")
+print("is forced, the antecedent is constant only at single points and the")
+print("square never vanishes on a subcube, so all 2**3 subcubes of 2**17")
+print("points are scanned:")
 timed("20-variable worst case", f"{total} = 10 -> ({total} - 10)^2 = 0")

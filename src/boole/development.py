@@ -22,8 +22,9 @@ completely.
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import reduce
 from itertools import product
-from operator import add
+from operator import add, and_
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,6 +32,8 @@ from ._record import Record
 from .polynomial import (
     Polynomial,
     _require_name,
+    _restrict,
+    _select,
     _split,
     _spread,
     _sum_of_squares,
@@ -215,7 +218,9 @@ def first_difference(
 # and scans smaller ones in pieces of 2**_PIECE_NAMES points, evaluating
 # the sentence on every piece: pruning smaller subcubes, or sharing value
 # vectors between pieces, would make a sentence's cost depend on where its
-# variables fall in name order, not just on n and the witness.
+# variables fall in name order, not just on n and the witness.  The names
+# an antecedent forces are fixed before any split, wherever they fall in
+# name order, so that rule keeps the same steady cost.
 _SCAN_NAMES = 17
 _PIECE_NAMES = 10
 
@@ -229,7 +234,15 @@ def least_point(
     where every antecedent is 0 and the consequent is not, and the
     consequent's value there; None if there is none.
 
-    Branch and prune, 0 before 1, on an explicit stack: a subcube is
+    First the names an antecedent forces are fixed: when setting x to one
+    bit makes some antecedent a nonzero constant, no witness has that bit,
+    so x takes the other one.  The sentence is restricted to the forced
+    bits, and that repeats until nothing new is forced; every witness
+    shares those bits, so the rest of the search runs over the free names
+    only.  A sentence such as x1*...*xn = 1 -> x1+...+xn = n is decided
+    there, with no split and no scan.
+
+    Then branch and prune, 0 before 1, on an explicit stack: a subcube is
     dropped when the consequent is the zero polynomial on it or an
     antecedent a nonzero constant, and an antecedent that is the zero
     polynomial holds on the whole subcube and is dropped itself.  With no
@@ -238,14 +251,27 @@ def least_point(
     0 if the consequent stays nonzero there and to 1 otherwise, n
     restrictions in all.  Otherwise, once at most 17 variables are free,
     the subcube is scanned in order, the sentence folded into one
-    polynomial: at worst 2**(n-17) scans of 131072 points."""
+    polynomial: at worst 2**(n-17) scans of 131072 points, for n the free
+    names."""
+    forced: dict[str, int] = {}
+    while True:
+        antecedents = [a for a in antecedents if a]
+        if not consequent or any(a.is_constant() for a in antecedents):
+            return None
+        more = _forced(antecedents)
+        if not more:
+            break
+        forced.update(more)
+        consequent = _restrict(consequent, more)
+        antecedents = [_restrict(a, more) for a in antecedents]
+    free = [name for name in names if name not in forced]
     stack = [(1, consequent, antecedents)]  # a leading 1, then the bits fixed
     while stack:
         fixed, p, conditions = stack.pop()
         conditions = [a for a in conditions if a]
         if not p or any(a.is_constant() for a in conditions):
             continue
-        rest = names[fixed.bit_length() - 1 :]
+        rest = free[fixed.bit_length() - 1 :]
         if conditions and len(rest) > _SCAN_NAMES:
             halves = [_split(q, rest[0]) for q in (p, *conditions)]
             for bit in (1, 0):
@@ -255,8 +281,33 @@ def least_point(
         found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
         if found is not None:
             # the leading 1 keeps the sigma's leading zeros
-            return format(fixed << len(rest) | found[0], "b")[1:], found[1]
+            bits = iter(format(fixed << len(rest) | found[0], "b")[1:])
+            return "".join(str(forced[name]) if name in forced else next(bits) for name in names), found[1]
     return None
+
+
+def _forced(antecedents: Sequence[Polynomial]) -> dict[str, int]:
+    # The names these nonconstant antecedents force, each with the bit it
+    # must take.  x = 0 leaves a nonzero constant exactly when a's constant
+    # term is nonzero and x occurs in every other term, which forces x to
+    # 1.  x = 1 leaving a nonzero constant k forces x to 0; k is then a's
+    # value at every point with x = 1, the sum of its coefficients and also
+    # its constant term plus the coefficient of x alone, so only the names
+    # that meet this are restricted to try.
+    forced: dict[str, int] = {}
+    for a in antecedents:
+        names, table = a._names, a._table
+        constant = table.get(0, 0)
+        if constant:
+            for name in _select(names, reduce(and_, [mask for mask in table if mask])):
+                forced.setdefault(name, 1)
+        total = sum(table.values())
+        if total:
+            top = len(names) - 1
+            for i, name in enumerate(names):
+                if table.get(1 << (top - i), 0) == total - constant and _restrict(a, {name: 1}).is_constant():
+                    forced.setdefault(name, 0)
+    return forced
 
 
 def _walk(p: Polynomial, names: Sequence[str]) -> tuple[int, int]:

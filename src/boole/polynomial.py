@@ -503,6 +503,21 @@ def _split(p: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
     return Polynomial._make(p._names, low), Polynomial._make(p._names, high)
 
 
+def _restrict(p: Polynomial, bits: Mapping[str, int]) -> Polynomial:
+    # p with each name in `bits` fixed to its 0/1 value, in one pass over
+    # p's terms: a term with a name fixed to 0 goes, a name fixed to 1 is
+    # struck out of its term.
+    zeros = _bits(p._names, [name for name in p._names if bits.get(name) == 0])
+    ones = _bits(p._names, [name for name in p._names if bits.get(name) == 1])
+    if not zeros | ones:
+        return p
+    table: dict[int, int] = {}
+    for mask, coeff in p._table.items():
+        if not mask & zeros:
+            table[mask & ~ones] = table.get(mask & ~ones, 0) + coeff
+    return Polynomial._make(p._names, table)
+
+
 # ----------------------------------------------------------------------
 # The table kernel: sums, products and powers of tables keyed by masks
 # over one name list, shared by Polynomial and the term compiler

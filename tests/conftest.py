@@ -821,7 +821,10 @@ terms = st.recursive(
 # Horn sentences over up to 14 variables, so that a scan takes more than
 # one piece of 10 names, and the search splits when its scan size is
 # lowered to 8 names.  Antecedents may hold on many points
-# (x - y, x*y - z, x + y - 1, a sum of every variable minus a constant);
+# (x - y, x*y - z, x + y - 1, a sum of every variable minus a constant),
+# or force names anywhere in name order (a monomial = 1, a lone name = 0,
+# c*x = c, and x = 2, which forces x both ways and never holds), so that
+# forcing, chains of it through x - y, and vacuous holds all occur;
 # consequents vanish wherever the antecedents do, plus an optional
 # remainder, possibly one monomial of high degree, that makes them fail.
 HORN_NAMES = tuple(f"x{i:02d}" for i in range(14))
@@ -839,7 +842,15 @@ def horn_sentences(draw) -> HornSentence:
     wide = st.frozensets(st.sampled_from(names), min_size=1).map(lambda s: Polynomial({tuple(sorted(s)): 1}))
     total = Polynomial({(name,): 1 for name in names})
     sums = st.integers(min_value=0, max_value=len(names)).map(lambda k: total - k)
-    shapes = [small, sums]
+    name = st.sampled_from(names).map(Polynomial.variable)
+    nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+    forcing = st.one_of(
+        wide.map(lambda m: m - 1),
+        name,
+        st.builds(lambda c, v: c * v - c, nonzero, name),
+        name.map(lambda v: v - 2),
+    )
+    shapes = [small, sums, forcing]
     if len(names) >= 3:
         triples = st.permutations(names).map(lambda order: [Polynomial.variable(v) for v in order[:3]])
         shapes.append(triples.flatmap(lambda t: st.sampled_from((t[0] - t[1], t[0] * t[1] - t[2], t[0] + t[1] - 1))))

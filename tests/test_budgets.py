@@ -40,6 +40,10 @@ CONSTITUENTS = constituent_sum(NAMES, 64)
 # Over 30 names a point mask would take 128 MiB, so this is decided on
 # polynomials.
 WIDE = "*".join(f"w{i:02d}" for i in range(30)) + " + (1 - w00)"
+# 40 names: the antecedent forces y00..y22 to 1, where the consequent is
+# the zero polynomial, so the 17 x's, first in name order, are never split.
+XS, YS = " + ".join(f"x{i:02d}" for i in range(17)), "*".join(f"y{i:02d}" for i in range(23))
+FORCED = f"{YS} = 1 -> ({XS} + 1)*({YS}) = {XS} + 1"
 
 # case: (arguments, exit code, wall seconds, address space in MiB)
 CASES = {
@@ -53,18 +57,22 @@ CASES = {
     "solve": (["solve", f"{SUM} - 10", "--for=x00"], 0, 20, 512),
     "r01": (["r01", f"{PRODUCT} = 1 -> {SUM} = 20"], 0, 10, 256),
     "r01-scan": (["r01", f"{SUM} = 10 -> ({SUM} - 10)^2 = 0"], 0, 10, 256),
+    "r01-forced": (["r01", "--max-vars", "40", FORCED], 0, 10, 256),
     "eval": (["eval", SUM, "--classes", "U=3; " + "; ".join(f"{name}={{0}}" for name in NAMES)], 1, 10, 256),
 }
+# The whole output of the cases that print little.
+STDOUT = {"r01": "holds\n", "r01-scan": "holds\n", "r01-forced": "holds\n"}
 
 
-@pytest.mark.parametrize("argv, code, seconds, mib", CASES.values(), ids=list(CASES))
-def test_command_ends_inside_its_budget(argv, code, seconds, mib):
+@pytest.mark.parametrize("case", CASES)
+def test_command_ends_inside_its_budget(case):
+    argv, code, seconds, mib = CASES[case]
     command = [sys.executable, "-c", CHILD, str(mib * MIB), *argv]
     try:
         done = subprocess.run(
             command,
             env={**os.environ, "PYTHONPATH": str(SRC)},
-            stdout=subprocess.DEVNULL,
+            stdout=subprocess.PIPE if case in STDOUT else subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
             timeout=seconds,
@@ -73,3 +81,4 @@ def test_command_ends_inside_its_budget(argv, code, seconds, mib):
         pytest.fail(f"boole {argv[0]} ran past {seconds} s")
     assert "Traceback" not in done.stderr
     assert done.returncode == code, done.stderr
+    assert done.stdout == STDOUT.get(case)

@@ -71,6 +71,7 @@ GOLDEN = [
     (["r01", "x+y=z -> x*y*z=0"], "holds\n", 0),
     (["r01", "(x+y)*(x+y)=x+y -> x*y=0"], "holds\n", 0),
     (["r01", "x+y = x+y-x*y"], "fails at x=1,y=1\n", 1),
+    (["r01", "y = 1 & w = 0 -> x*y + z = w + 1"], "fails at w=0,x=0,y=1,z=0\n", 1),
     (
         ["eval", "x + y", "--classes", "U=2; x={0}; y={0}"],
         "undefined: x+y requires x∩y=∅\n",
@@ -411,6 +412,14 @@ def test_json_r01(capsys):
         "holds": False,
         "witness": {"x": 1, "y": 1},
         "consequent_value": "1",
+    }
+    # y = 1 and w = 0 are forced; the consequent is then x + z - 1
+    code, out, _ = run(capsys, "r01", "y = 1 & w = 0 -> x*y + z = w + 1", "--format", "json")
+    assert code == 1
+    assert json.loads(out) == {
+        "holds": False,
+        "witness": {"w": 0, "x": 0, "y": 1, "z": 0},
+        "consequent_value": "-1",
     }
 
 

@@ -158,6 +158,19 @@ def test_witness_satisfies_antecedents():
     assert env == {"x": 0, "y": 0}
 
 
+def test_forced_names_between_free_ones_keep_their_places():
+    # x01*x03 = 1 forces x01 and x03 to 1, and x02 = 0 forces x02 to 0;
+    # the consequent is then 3*x04 + x00, least nonzero at x00 = 0, x04 = 1.
+    sentence = parse_horn("x01*x03 = 1 & x02 = 0 -> 3*x04 + x00*x01 = x02")
+    names = sentence.variables
+    assert least_point(sentence.consequent, sentence.antecedents, names) == ("01011", 3)
+    verdict = check_r01(sentence)
+    assert dict(verdict.witness) == {"x00": 0, "x01": 1, "x02": 0, "x03": 1, "x04": 1}
+    assert list(verdict.witness) == list(names)
+    assert (verdict.antecedent_values, verdict.consequent_value) == ((0, 0), 3)
+    assert verdict == oracle_check_r01(sentence)
+
+
 def test_unsatisfiable_antecedent_holds_vacuously():
     assert check_r01(parse_horn("1=0 -> x=1")).holds
     assert check_r01(parse_horn("x=1 & x=0 -> 1=0")).holds
@@ -274,6 +287,12 @@ SQUARED = " + ".join(TWENTY) + " = 10 -> (" + " + ".join(TWENTY) + " - 10)^2 = 0
 @example(parse_horn("x - y = 0 & y - x = 0 -> x = 0"))
 @example(parse_horn("1 = 2 -> x = 0"))
 @example(parse_horn("0 = 0 -> x = 0"))
+# forcing: a chain through x = y, both bits forced, and c*x = c
+@example(parse_horn("y*z = 1 & x = y & w = 0 -> x + w*z = z"))
+@example(parse_horn("y*z = 1 & x = y & w = 0 -> x + w = 2*z"))
+@example(parse_horn("x = 2 -> y = 0"))
+@example(parse_horn("x*y = 1 & y = 0 -> z = 1"))
+@example(parse_horn("3*y = 3 -> x*y = x + z"))
 def test_check_r01_matches_sweep(sentence):
     want = oracle_check_r01(sentence)
     verdict = check_r01(sentence)
@@ -285,26 +304,8 @@ def test_check_r01_matches_sweep(sentence):
         assert list(verdict.witness) == list(want.witness)
 
 
-def test_search_scans_at_most_ten_names(monkeypatch):
-    scanned = []
-    original = boole.polynomial._transform
-
-    def spy(vector, op):
-        scanned.append(len(vector))
-        return original(vector, op)
-
-    monkeypatch.setattr(boole.polynomial, "_transform", spy)
-    monkeypatch.setattr(boole.development, "_transform", spy)
-    assert check_r01(parse_horn(DEMO)).holds
-    assert check_r01(parse_horn(SQUARED)).holds
-    assert scanned and max(scanned) == 2**10
-
-
-def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
-    # Nothing is pruned at 17 variables or fewer, and a scan evaluates the
-    # sentence, folded into one polynomial, on every piece, so two
-    # sentences of one shape make the same transforms wherever their
-    # variables fall in name order.
+def transforms_of(monkeypatch):
+    # The length of every vector _transform is handed, in call order.
     sizes = []
     original = boole.polynomial._transform
 
@@ -312,14 +313,50 @@ def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
         sizes.append(len(vector))
         return original(vector, op)
 
+    monkeypatch.setattr(boole.polynomial, "_transform", spy)
     monkeypatch.setattr(boole.development, "_transform", spy)
+    return sizes
+
+
+def test_search_scans_at_most_ten_names(monkeypatch):
+    scanned = transforms_of(monkeypatch)
+    assert check_r01(parse_horn(SQUARED)).holds
+    assert scanned and max(scanned) == 2**10
+
+
+def test_forced_names_need_no_transform(monkeypatch):
+    # The demo's antecedent forces all 20 names to 1, where the consequent
+    # is 0.  The mirror leaves x00..x09 free and forces the last ten, and
+    # the consequent is the zero polynomial once they are 1.
+    free, last = " + ".join(TWENTY[:10]), "*".join(TWENTY[10:])
+    mirror = f"{last} = 1 -> ({free})*{last} = {free}"
+    transforms = transforms_of(monkeypatch)
+    assert check_r01(parse_horn(DEMO)).holds
+    assert check_r01(parse_horn(mirror)).holds
+    assert transforms == []
+
+
+def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
+    # Nothing is pruned at 17 variables or fewer, and a scan evaluates the
+    # sentence, folded into one polynomial, on every piece, so two
+    # sentences of one shape make the same transforms wherever their
+    # variables fall in name order.  Forced names are fixed before any
+    # split, so three of them first, in the middle or last among 20 names
+    # leave the same 17-name scan.
+    sizes = transforms_of(monkeypatch)
     counts = []
-    for a, b in (("x00", "x01"), ("x15", "x16")):
+    cases = [(("x00", "x01"), ()), (("x15", "x16"), ())]
+    cases += [(pair, forced) for pair in (("x03", "x04"), ("x18", "x19")) for forced in (TWENTY[:3], TWENTY[8:11])]
+    cases += [(("x00", "x01"), TWENTY[17:])]
+    for (a, b), forced in cases:
         sizes.clear()
-        rest = " + ".join(name for name in TWENTY[:17] if name not in (a, b))
-        assert check_r01(parse_horn(f"{a} = {b} -> {a}*({rest}) = {b}*({rest})")).holds
+        free = [name for name in TWENTY if name not in forced][:17]
+        rest = " + ".join(name for name in free if name not in (a, b))
+        force = f"{'*'.join(forced)} = 1 & " if forced else ""
+        tail = f"*{forced[0]}" if forced else ""
+        assert check_r01(parse_horn(f"{force}{a} = {b} -> {a}*({rest}){tail} = {b}*({rest})")).holds
         counts.append(sizes.count(2**10))
-    assert counts[0] == counts[1] == 2**7
+    assert counts == [2**7] * len(cases)
 
 
 # ----------------------------------------------------------------------
@@ -329,15 +366,7 @@ def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
 def test_equations_run_no_transform(monkeypatch):
     square = poly(f"({' + '.join(TWENTY[:17])} - 8)^2")
     last = Polynomial({TWENTY: 1})
-    transforms = []
-    original = boole.polynomial._transform
-
-    def spy(vector, op):
-        transforms.append(len(vector))
-        return original(vector, op)
-
-    monkeypatch.setattr(boole.polynomial, "_transform", spy)
-    monkeypatch.setattr(boole.development, "_transform", spy)
+    transforms = transforms_of(monkeypatch)
     assert check_equation(poly("x*(x + y - x*y) - x")).holds
     assert check_equation(square - square).holds
     assert dict(check_equation(square).witness) == dict.fromkeys(TWENTY[:17], 0)
