@@ -144,8 +144,8 @@ def _cmd_interpretable(args: argparse.Namespace) -> int:
     term = parse(args.expr)
     p = term_to_poly(term)
     totally = is_totally_interpretable(term)
-    idempotent = p.is_idempotent()
     core = interpretable_core(p, max_vars=args.max_vars)
+    idempotent = core == p  # the core is p exactly when p is idempotent
     sigmas = sorted(constituent_equations(p, max_vars=args.max_vars))
     shown = " ".join(s if s else "''" for s in sigmas)
     _emit(

@@ -34,7 +34,6 @@ from .polynomial import (
     _require_name,
     _restrict,
     _select,
-    _split,
     _spread,
     _sum_of_squares,
     _transform,
@@ -177,11 +176,11 @@ def from_table(table: DevelopmentTable) -> Polynomial:
     coefficient times the constituent.  Inverse of develop."""
     names = table.variables
     rest = sorted({name for coeff in table.coefficients.values() for name in coeff.variables()} - set(names))
+    shifts = {name: len(names) - 1 - i for i, name in enumerate(names)}
     groups: defaultdict[int, list[int]] = defaultdict(lambda: [0] * (1 << len(names)))
     for index, coeff in enumerate(table.coefficients.values()):
         # times the constituent of its point, a table variable is its bit
-        for name in set(coeff.variables()).intersection(names):
-            coeff = coeff.substitute(name, index >> (len(names) - 1 - names.index(name)) & 1)
+        coeff = _restrict(coeff, {name: index >> shifts[name] & 1 for name in coeff.variables() if name in shifts})
         for residual, value in _spread(coeff, rest).items():
             groups[residual][index] = value
     return from_point_values(groups, names, rest)
@@ -273,10 +272,9 @@ def least_point(
             continue
         rest = free[fixed.bit_length() - 1 :]
         if conditions and len(rest) > _SCAN_NAMES:
-            halves = [_split(q, rest[0]) for q in (p, *conditions)]
             for bit in (1, 0):
-                at = [low + high if bit else low for low, high in halves]
-                stack.append((fixed << 1 | bit, at[0], at[1:]))
+                at = {rest[0]: bit}
+                stack.append((fixed << 1 | bit, _restrict(p, at), [_restrict(a, at) for a in conditions]))
             continue
         found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
         if found is not None:
@@ -314,9 +312,9 @@ def _walk(p: Polynomial, names: Sequence[str]) -> tuple[int, int]:
     # The least point over `names` where p, nonzero, is not 0; p's value there.
     index = 0
     for name in names:
-        low, high = _split(p, name)
+        low = _restrict(p, {name: 0})
         index = index << 1 | (0 if low else 1)
-        p = low or high
+        p = low or _restrict(p, {name: 1})
     return index, p.constant_value()
 
 

@@ -357,8 +357,13 @@ class Polynomial:
         replacement = _coerce(replacement)
         if replacement is NotImplemented:
             raise TypeError("replacement must be a Polynomial or an int")
-        kept, factored = _split(self, name)
-        return kept + factored * replacement if factored else self
+        if name not in self._names:
+            return self
+        # p is its terms without `name` plus `name` times the rest, struck out
+        bit = _bits(self._names, (name,))
+        kept = {mask: coeff for mask, coeff in self._table.items() if not mask & bit}
+        factored = {mask ^ bit: coeff for mask, coeff in self._table.items() if mask & bit}
+        return Polynomial._make(self._names, kept) + Polynomial._make(self._names, factored) * replacement
 
     def is_idempotent(self) -> bool:
         """True when p*p == p, Boole's condition of interpretability."""
@@ -492,30 +497,26 @@ def _align(p: Polynomial, q: Polynomial) -> tuple[tuple[str, ...], dict[int, int
     return (names, spread, _spread(small, names)) if big is p else (names, _spread(small, names), spread)
 
 
-def _split(p: Polynomial, name: str) -> tuple[Polynomial, Polynomial]:
-    # p's terms without `name`, and those with it, `name` struck out: p is
-    # the first plus `name` times the second.
-    if name not in p._names:
-        return p, _ZERO
-    bit = _bits(p._names, (name,))
-    low = {mask: coeff for mask, coeff in p._table.items() if not mask & bit}
-    high = {mask ^ bit: coeff for mask, coeff in p._table.items() if mask & bit}
-    return Polynomial._make(p._names, low), Polynomial._make(p._names, high)
-
-
 def _restrict(p: Polynomial, bits: Mapping[str, int]) -> Polynomial:
-    # p with each name in `bits` fixed to its 0/1 value, in one pass over
-    # p's terms: a term with a name fixed to 0 goes, a name fixed to 1 is
-    # struck out of its term.
-    zeros = _bits(p._names, [name for name in p._names if bits.get(name) == 0])
-    ones = _bits(p._names, [name for name in p._names if bits.get(name) == 1])
-    if not zeros | ones:
+    # p with each name in `bits`, which may hold names p lacks, fixed to its
+    # 0/1 value: a term with a name fixed to 0 goes, and a name fixed to 1
+    # is struck out of its term.  Each given name is found by bisection, so
+    # a restriction to one name does not read all of p's names.
+    names, top = p._names, len(p._names) - 1
+    fixed = ones = 0
+    for name, bit in bits.items():
+        at = bisect_left(names, name)
+        if at <= top and names[at] == name:
+            fixed |= 1 << (top - at)
+            ones |= bit << (top - at)
+    if not fixed:
         return p
+    zeros = fixed ^ ones
     table: dict[int, int] = {}
     for mask, coeff in p._table.items():
         if not mask & zeros:
             table[mask & ~ones] = table.get(mask & ~ones, 0) + coeff
-    return Polynomial._make(p._names, table)
+    return Polynomial._make(names, table)
 
 
 # ----------------------------------------------------------------------

@@ -396,6 +396,16 @@ def test_json_interpretable(capsys):
     assert poly_from_json(payload["core"]) == poly("x + y - x*y")
 
 
+def test_interpretable_reads_idempotence_from_the_core(capsys, monkeypatch):
+    # p is idempotent exactly when its core is p, so no p*p is formed
+    products = []
+    multiply = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: products.append(q) or multiply(p, q))
+    code, out, _ = run(capsys, "interpretable", "x + y + 2*x*y*z")
+    assert (code, out) == (1, "totally interpretable: no\nidempotent: no\ncore: x + y - x*y\nconstituents: 010 011 100 101 110 111\n")
+    assert products == []
+
+
 def test_json_setexpr(capsys):
     code, out, _ = run(capsys, "setexpr", "x + (1-x)*y", "--format", "json")
     assert code == 0

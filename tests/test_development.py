@@ -214,6 +214,18 @@ def test_from_table_examples():
     assert from_table(ones) == ONE
 
 
+def test_from_table_substitutes_nothing(monkeypatch):
+    # entries that mention the table's variables are restricted to each
+    # point's bits in one pass, not one substitution per name
+    table = DevelopmentTable(("x", "y"), {"00": x * y + z, "01": x - y * z, "10": 3 * x * z, "11": x * y * z - 2})
+    want = oracle_from_table(table)
+    calls = []
+    substitute = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute", lambda p, *args: calls.append(args) or substitute(p, *args))
+    assert from_table(table) == want
+    assert calls == []
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         DevelopmentTable(("x",), {"0": ZERO})

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import boole.polynomial
 from boole import ONE, ZERO, Polynomial, variables
-from boole.polynomial import _bits, _dense_product, _from_decimal, _power, _spread
+from boole.polynomial import _bits, _dense_product, _from_decimal, _power, _restrict, _spread
 from boole.terms import poly
 from conftest import WIDE_NAMES, oracle_product, polynomials, wide_polynomials, zero_one_points
 
@@ -340,6 +340,20 @@ def test_substitute_derived_check():
     substituted = p.substitute("y", r)
     for env in zero_one_points(("x",)):
         assert substituted.evaluate(env) == p.evaluate({**env, "y": r.evaluate(env)})
+
+
+@settings(deadline=None, max_examples=200)
+@given(wide_polynomials, st.dictionaries(st.sampled_from((*WIDE_NAMES, "y")), st.integers(0, 1)), st.integers(0, 1))
+def test_restrict_matches_chained_substitute(p, bits, fill):
+    # names p lacks ("y" never occurs in p), every name of p, and none
+    every = {**dict.fromkeys(p.variables(), fill), **bits}
+    for case in (bits, every, {}):
+        chained = p
+        for name, bit in case.items():
+            chained = chained.substitute(name, bit)
+        assert _restrict(p, case) == chained
+    assert _restrict(p, every).is_constant()
+    assert _restrict(p, {}) is p
 
 
 def test_is_idempotent():
