@@ -3,9 +3,10 @@
 Equations and quasi-equations valid for integers restricted to {0, 1}
 are exactly the ones valid in the algebra of classes, so trying every
 0/1 point is a full decision procedure.  The checker tries them as a
-branch-and-prune search: it fixes the variables an antecedent forces,
-then skips every subcube on which the answer is already known; an
-equation needs no trying at all, only one walk down its variables.
+branch-and-prune search: in every subcube it fixes the variables an
+antecedent forces and skips the subcube when the answer on it is already
+known; an equation needs no trying at all, only one walk down its
+variables.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 
@@ -54,6 +55,12 @@ print("setting a variable to 0 (or 1) makes an antecedent a nonzero constant,")
 print("no witness has it there.  This antecedent forces all 20 variables to")
 print("1, where the consequent is 0, so nothing is split or scanned:")
 timed("20-variable demo", "*".join(names) + " = 1 -> " + total + " = 20")
+print("Forcing runs again in every subcube a split leaves.  This chain")
+print("x00*(1 - x01) = 0 & ... & x18*(1 - x19) = 0 forces nothing over all 20")
+print("variables; the split on x00 drops x00 = 0, where the consequent is 0,")
+print("and below x00 = 1 each variable forces the next, so nothing is scanned:")
+chain = " & ".join(f"{a}*(1 - {b}) = 0" for a, b in zip(names, names[1:]))
+timed("20-variable chain", f"{chain} -> x00*x19 = x00")
 print("Otherwise the free variables are split and scanned.  A subcube is")
 print("skipped when the consequent is the zero polynomial on it or an")
 print("antecedent is a nonzero constant there.  One with at most 17 free")

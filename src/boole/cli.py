@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .development import constituent_equations, develop, first_difference, interpretable_core
+from .development import develop, development_values, first_difference, sigma_strings
 from .models import (
     ClassAssignment,
     Defined,
@@ -29,7 +29,16 @@ from .models import (
     eval_multiset,
     eval_partial,
 )
-from .polynomial import Polynomial, VariableLimitError, _decimal, _from_decimal, _ordered, _require_name, is_valid_name
+from .polynomial import (
+    Polynomial,
+    VariableLimitError,
+    _decimal,
+    _from_decimal,
+    _ordered,
+    _require_name,
+    from_point_values,
+    is_valid_name,
+)
 from .r01 import check_r01, parse_horn
 from .terms import (
     NotTotallyInterpretableError,
@@ -69,6 +78,14 @@ def _emit(args: argparse.Namespace, text: str, payload: Callable[[], dict[str, o
         print(text)
 
 
+def _poly_of(text: str, argument: str) -> Polynomial:
+    """A term argument's polynomial; a parse error names the argument."""
+    try:
+        return poly(text)
+    except ParseError as error:
+        raise ParseError(f"{argument}: {error.message}", error.position) from None
+
+
 def _split_names(listing: str) -> tuple[str, ...]:
     names = tuple(_require_name(part.strip()) for part in listing.split(",") if part.strip())
     if len(set(names)) != len(names):
@@ -96,7 +113,7 @@ def _cmd_develop(args: argparse.Namespace) -> int:
 
 
 def _cmd_equal(args: argparse.Namespace) -> int:
-    p, q = poly(args.left), poly(args.right)
+    p, q = _poly_of(args.left, "left"), _poly_of(args.right, "right")
     sigma = first_difference(p, q, max_vars=args.max_vars)
     if sigma is None:
         _emit(args, "equal", lambda: {"equal": True})
@@ -106,7 +123,7 @@ def _cmd_equal(args: argparse.Namespace) -> int:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    reduced = reduce_system([poly(e) for e in args.exprs])
+    reduced = reduce_system([_poly_of(e, f"expr {i}") for i, e in enumerate(args.exprs, 1)])
     _emit(args, str(reduced), lambda: {"polynomial": poly_to_json(reduced)})
     return 0
 
@@ -144,9 +161,11 @@ def _cmd_interpretable(args: argparse.Namespace) -> int:
     term = parse(args.expr)
     p = term_to_poly(term)
     totally = is_totally_interpretable(term)
-    core = interpretable_core(p, max_vars=args.max_vars)
-    idempotent = core == p  # the core is p exactly when p is idempotent
-    sigmas = sorted(constituent_equations(p, max_vars=args.max_vars))
+    names, values = development_values(p, max_vars=args.max_vars)
+    idempotent = set(values) <= {0, 1}
+    # the core, the sum of the constituents where p is nonzero, is p when p is idempotent
+    core = p if idempotent else from_point_values({0: [1 if value else 0 for value in values]}, names)
+    sigmas = [sigma for sigma, value in zip(sigma_strings(len(names)), values) if value]
     shown = " ".join(s if s else "''" for s in sigmas)
     _emit(
         args,

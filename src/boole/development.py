@@ -49,6 +49,7 @@ __all__ = [
     "constituent_equations",
     "develop",
     "develop_partial",
+    "development_values",
     "equal_by_development",
     "first_difference",
     "from_table",
@@ -218,8 +219,9 @@ def first_difference(
 # the sentence on every piece: pruning smaller subcubes, or sharing value
 # vectors between pieces, would make a sentence's cost depend on where its
 # variables fall in name order, not just on n and the witness.  The names
-# an antecedent forces are fixed before any split, wherever they fall in
-# name order, so that rule keeps the same steady cost.
+# an antecedent forces are fixed in every subcube before it is split or
+# scanned, wherever they fall in name order, so that rule keeps the same
+# steady cost.
 _SCAN_NAMES = 17
 _PIECE_NAMES = 10
 
@@ -233,54 +235,46 @@ def least_point(
     where every antecedent is 0 and the consequent is not, and the
     consequent's value there; None if there is none.
 
-    First the names an antecedent forces are fixed: when setting x to one
-    bit makes some antecedent a nonzero constant, no witness has that bit,
-    so x takes the other one.  The sentence is restricted to the forced
-    bits, and that repeats until nothing new is forced; every witness
-    shares those bits, so the rest of the search runs over the free names
-    only.  A sentence such as x1*...*xn = 1 -> x1+...+xn = n is decided
-    there, with no split and no scan.
+    Branch and prune, 0 before 1, on an explicit stack of subcubes, each
+    with the bits fixed on it.  A subcube is dropped when the consequent
+    is the zero polynomial on it or an antecedent a nonzero constant, and
+    an antecedent that is the zero polynomial holds on the whole subcube
+    and is dropped itself.  Then the names an antecedent forces are fixed:
+    when setting x to one bit makes some antecedent a nonzero constant, no
+    witness in the subcube has that bit, so x takes the other one, and the
+    subcube restricted to the forced bits goes back on the stack.  Only a
+    subcube that forces nothing is split, scanned or walked.  A sentence
+    such as x1*...*xn = 1 -> x1+...+xn = n is decided by forcing alone,
+    and a chain x1*(1 - x2) = 0 & ... -> x1*xn = x1 by one split with
+    forcing below it.
 
-    Then branch and prune, 0 before 1, on an explicit stack: a subcube is
-    dropped when the consequent is the zero polynomial on it or an
-    antecedent a nonzero constant, and an antecedent that is the zero
-    polynomial holds on the whole subcube and is dropped itself.  With no
-    antecedent left the answer is a walk: a multilinear polynomial is zero
-    exactly when it vanishes at every 0/1 point, so each name is fixed to
-    0 if the consequent stays nonzero there and to 1 otherwise, n
+    With no antecedent left the answer is a walk: a multilinear polynomial
+    is zero exactly when it vanishes at every 0/1 point, so each name is
+    fixed to 0 if the consequent stays nonzero there and to 1 otherwise, n
     restrictions in all.  Otherwise, once at most 17 variables are free,
     the subcube is scanned in order, the sentence folded into one
     polynomial: at worst 2**(n-17) scans of 131072 points, for n the free
     names."""
-    forced: dict[str, int] = {}
-    while True:
-        antecedents = [a for a in antecedents if a]
-        if not consequent or any(a.is_constant() for a in antecedents):
-            return None
-        more = _forced(antecedents)
-        if not more:
-            break
-        forced.update(more)
-        consequent = _restrict(consequent, more)
-        antecedents = [_restrict(a, more) for a in antecedents]
-    free = [name for name in names if name not in forced]
-    stack = [(1, consequent, antecedents)]  # a leading 1, then the bits fixed
+    stack = [({}, consequent, antecedents)]  # a subcube's fixed bits, then the sentence on it
     while stack:
         fixed, p, conditions = stack.pop()
         conditions = [a for a in conditions if a]
         if not p or any(a.is_constant() for a in conditions):
             continue
-        rest = free[fixed.bit_length() - 1 :]
-        if conditions and len(rest) > _SCAN_NAMES:
-            for bit in (1, 0):
-                at = {rest[0]: bit}
-                stack.append((fixed << 1 | bit, _restrict(p, at), [_restrict(a, at) for a in conditions]))
+        forced = _forced(conditions)
+        rest = [name for name in names if name not in fixed]
+        if forced:
+            parts = [forced]
+        elif conditions and len(rest) > _SCAN_NAMES:
+            parts = [{rest[0]: 1}, {rest[0]: 0}]  # the 0 half is popped first
+        else:
+            found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
+            if found is not None:
+                bits = iter(format(found[0], f"0{len(rest)}b"))
+                return "".join(str(fixed[name]) if name in fixed else next(bits) for name in names), found[1]
             continue
-        found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
-        if found is not None:
-            # the leading 1 keeps the sigma's leading zeros
-            bits = iter(format(fixed << len(rest) | found[0], "b")[1:])
-            return "".join(str(forced[name]) if name in forced else next(bits) for name in names), found[1]
+        for at in parts:
+            stack.append(({**fixed, **at}, _restrict(p, at), [_restrict(a, at) for a in conditions]))
     return None
 
 
@@ -348,6 +342,19 @@ def _scan(
     return None
 
 
+def development_values(
+    p: Polynomial,
+    variables: Iterable[str] | None = None,
+    *,
+    max_vars: int | None = None,
+) -> tuple[tuple[str, ...], list[int]]:
+    """The complete development of p as integers: the variable list, which
+    defaults to p's variables, and p's value at each of its 0/1 points,
+    in sigma order."""
+    names = _limited(_covering(p, variables), max_vars)
+    return names, point_values(p, names)[0]
+
+
 def interpretable_core(
     p: Polynomial,
     variables: Iterable[str] | None = None,
@@ -357,7 +364,7 @@ def interpretable_core(
     """The totally interpretable polynomial with the same zero set as p:
     the sum of the constituents at which p is nonzero.  Always idempotent;
     equals p when p is already idempotent."""
-    names, values = _values(p, variables, max_vars)
+    names, values = development_values(p, variables, max_vars=max_vars)
     return from_point_values({0: [1 if value else 0 for value in values]}, names)
 
 
@@ -369,7 +376,7 @@ def constituent_equations(
 ) -> frozenset[str]:
     """The sigmas whose constituents must vanish for p = 0 to hold: those
     where the development coefficient is nonzero."""
-    names, values = _values(p, variables, max_vars)
+    names, values = development_values(p, variables, max_vars=max_vars)
     return frozenset(sigma for sigma, value in zip(sigma_strings(len(names)), values) if value)
 
 
@@ -391,8 +398,3 @@ def _covering(p: Polynomial, variables: Iterable[str] | None) -> Iterable[str]:
         )
     return names
 
-
-def _values(p: Polynomial, variables: Iterable[str] | None, max_vars: int | None):
-    # The complete development as (variables, value vector).
-    names = _limited(_covering(p, variables), max_vars)
-    return names, point_values(p, names)[0]

@@ -8,15 +8,16 @@ consequent must be too.  Equations are the antecedent-free case.
 Only universally quantified implications between equations are accepted
 (equations and quasi-equations); disjunctive or existential Horn forms
 are out of scope here.  The checker is the branch-and-prune search
-``development.least_point``.  It first fixes every name an antecedent
-forces (x*y = 1 forces x and y to 1, x = 0 forces x to 0), so the
-20-variable demo x00*...*x19 = 1 -> x00+...+x19 = 20 is decided before
-any split or scan.  An equation is decided by a walk of n restrictions,
-one per variable, and no scan.  A quasi-equation is folded into one
-polynomial per scanned subcube: Boole's reduction of the antecedents to
-the sum of their squares, scaled past every value the consequent can
-take, plus the consequent.  It costs at worst 2**(n-17) scans of 131072
-points, for n the names left free.
+``development.least_point``.  In every subcube it first fixes every
+name an antecedent forces (x*y = 1 forces x and y to 1, x = 0 forces x
+to 0), so the 20-variable demo x00*...*x19 = 1 -> x00+...+x19 = 20 is
+decided before any split or scan, and a chain x00*(1 - x01) = 0 & ...
+-> x00*x19 = x00 with one split.  An equation is decided by a walk of
+n restrictions, one per variable, and no scan.  A quasi-equation is
+folded into one polynomial per scanned subcube: Boole's reduction of
+the antecedents to the sum of their squares, scaled past every value the
+consequent can take, plus the consequent.  It costs at worst 2**(n-17)
+scans of 131072 points, for n the names left free.
 """
 
 from __future__ import annotations

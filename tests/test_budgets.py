@@ -44,6 +44,10 @@ WIDE = "*".join(f"w{i:02d}" for i in range(30)) + " + (1 - w00)"
 # the zero polynomial, so the 17 x's, first in name order, are never split.
 XS, YS = " + ".join(f"x{i:02d}" for i in range(17)), "*".join(f"y{i:02d}" for i in range(23))
 FORCED = f"{YS} = 1 -> ({XS} + 1)*({YS}) = {XS} + 1"
+# 40 names in a chain z00*(1 - z01) = 0 & ...: nothing is forced until the
+# split on z00, and below z00 = 1 each name forces the next.
+ZS = [f"z{i:02d}" for i in range(40)]
+CHAIN = " & ".join(f"{a}*(1 - {b}) = 0" for a, b in zip(ZS, ZS[1:])) + " -> z00*z39 = z00"
 
 # case: (arguments, exit code, wall seconds, address space in MiB)
 CASES = {
@@ -58,10 +62,11 @@ CASES = {
     "r01": (["r01", f"{PRODUCT} = 1 -> {SUM} = 20"], 0, 10, 256),
     "r01-scan": (["r01", f"{SUM} = 10 -> ({SUM} - 10)^2 = 0"], 0, 10, 256),
     "r01-forced": (["r01", "--max-vars", "40", FORCED], 0, 10, 256),
+    "r01-chain": (["r01", "--max-vars", "40", CHAIN], 0, 10, 256),
     "eval": (["eval", SUM, "--classes", "U=3; " + "; ".join(f"{name}={{0}}" for name in NAMES)], 1, 10, 256),
 }
 # The whole output of the cases that print little.
-STDOUT = {"r01": "holds\n", "r01-scan": "holds\n", "r01-forced": "holds\n"}
+STDOUT = {"r01": "holds\n", "r01-scan": "holds\n", "r01-forced": "holds\n", "r01-chain": "holds\n"}
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import boole.polynomial
 from boole import Polynomial
 from boole.cli import _build_parser, main, poly_from_json, poly_to_json
 from boole.polynomial import MAX_POWER_BITS
@@ -165,6 +166,23 @@ def test_parse_error_reports_offset(capsys):
     code, _, err = run(capsys, "normalize", "x ++ y")
     assert code == 2
     assert "offset 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["equal", "x +", "y"], "left: "),
+        (["equal", "x", "y +"], "right: "),
+        (["reduce", "x", "y +"], "expr 2: "),
+        (["reduce", "x +", "y", "z"], "expr 1: "),
+        (["reduce", "x +"], "expr 1: "),
+        (["normalize", "x +"], ""),  # one term: nothing to name
+    ],
+)
+def test_parse_error_names_the_argument(capsys, argv, where):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}expected a number, a variable or '(' at offset 3\n"
 
 
 @pytest.mark.parametrize("text, offset", [("²", 0), ("x²", 1), ("x + ٣", 4), ("é", 0)])
@@ -397,13 +415,25 @@ def test_json_interpretable(capsys):
 
 
 def test_interpretable_reads_idempotence_from_the_core(capsys, monkeypatch):
-    # p is idempotent exactly when its core is p, so no p*p is formed
+    # p is idempotent exactly when its values are all 0 or 1, so no p*p is formed
     products = []
     multiply = Polynomial.__mul__
     monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: products.append(q) or multiply(p, q))
     code, out, _ = run(capsys, "interpretable", "x + y + 2*x*y*z")
     assert (code, out) == (1, "totally interpretable: no\nidempotent: no\ncore: x + y - x*y\nconstituents: 010 011 100 101 110 111\n")
     assert products == []
+
+
+@pytest.mark.parametrize("expr, transforms", [("x*y + (1-x)*z", [8]), ("x + y", [4, 4])])
+def test_interpretable_develops_once(capsys, monkeypatch, expr, transforms):
+    # One zeta transform gives p's values, which decide idempotence and the
+    # constituents; only a p that is not idempotent needs a Moebius pass for
+    # its core.
+    sizes = []
+    transform = boole.polynomial._transform
+    monkeypatch.setattr(boole.polynomial, "_transform", lambda vector, op: sizes.append(len(vector)) or transform(vector, op))
+    run(capsys, "interpretable", expr)
+    assert sizes == transforms
 
 
 def test_json_setexpr(capsys):

@@ -171,6 +171,18 @@ def test_forced_names_between_free_ones_keep_their_places():
     assert verdict == oracle_check_r01(sentence)
 
 
+def test_names_forced_below_a_split_keep_their_places():
+    # Nothing is forced over all 19 names.  The split x00 = 0 leaves the
+    # consequent 0; below x00 = 1 the first antecedent forces x09 to 1, and
+    # the other 17 names are scanned.
+    names = tuple(f"x{i:02d}" for i in range(19))
+    others = "*".join(name for name in names[1:] if name != "x09")
+    sentence = parse_horn(f"x00*(1 - x09) = 0 & {others} = 0 -> 3*x00*x09*(1 + x18) = 0")
+    sigma = "1" + "0" * 8 + "1" + "0" * 9
+    assert least_point(sentence.consequent, sentence.antecedents, names) == (sigma, 3)
+    assert check_r01(sentence) == oracle_check_r01(sentence)
+
+
 def test_unsatisfiable_antecedent_holds_vacuously():
     assert check_r01(parse_horn("1=0 -> x=1")).holds
     assert check_r01(parse_horn("x=1 & x=0 -> 1=0")).holds
@@ -293,6 +305,10 @@ SQUARED = " + ".join(TWENTY) + " = 10 -> (" + " + ".join(TWENTY) + " - 10)^2 = 0
 @example(parse_horn("x = 2 -> y = 0"))
 @example(parse_horn("x*y = 1 & y = 0 -> z = 1"))
 @example(parse_horn("3*y = 3 -> x*y = x + z"))
+# chains a*(1 - b) = 0 & ...: nothing is forced until a split fixes a
+@example(parse_horn("a*(1 - b) = 0 & b*(1 - c) = 0 & c*(1 - d) = 0 -> a*d = a"))
+@example(parse_horn("a*(1 - b) = 0 & b*(1 - c) = 0 & c*(1 - d) = 0 -> a*d = 0"))
+@example(parse_horn("a*(1 - b) = 0 & b*(1 - c) = 0 & c*(1 - d) = 0 -> b*(1 - d) + a = 0"))
 def test_check_r01_matches_sweep(sentence):
     want = oracle_check_r01(sentence)
     verdict = check_r01(sentence)
@@ -333,6 +349,24 @@ def test_forced_names_need_no_transform(monkeypatch):
     transforms = transforms_of(monkeypatch)
     assert check_r01(parse_horn(DEMO)).holds
     assert check_r01(parse_horn(mirror)).holds
+    assert transforms == []
+
+
+def chain(count, consequent):
+    # x00*(1 - x01) = 0 & ... & x{n-2}*(1 - x{n-1}) = 0 -> x00*x{n-1} = consequent
+    names = [f"x{i:02d}" for i in range(count)]
+    links = " & ".join(f"{a}*(1 - {b}) = 0" for a, b in zip(names, names[1:]))
+    return parse_horn(f"{links} -> {names[0]}*{names[-1]} = {consequent}")
+
+
+def test_names_forced_after_a_split_need_no_transform(monkeypatch):
+    # A chain forces nothing over all its names.  The split x00 = 0 makes
+    # the consequent 0; x00 = 1 forces x01, which forces x02, and so on.
+    transforms = transforms_of(monkeypatch)
+    assert check_r01(chain(20, "x00")).holds
+    verdict = check_r01(chain(20, "0"))
+    assert dict(verdict.witness) == dict.fromkeys(TWENTY, 1)
+    assert verdict.consequent_value == 1
     assert transforms == []
 
 
