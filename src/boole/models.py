@@ -10,8 +10,11 @@ bridge between them:
   universe, where every term is interpretable and the characteristic
   functions are exactly the idempotents.
 
-Subsets are bitmasks over universes of at most 16 elements.  By the Rule
-of 0 and 1, ``holds_in_idempotents`` is a 0/1 search, not an enumeration.
+Subsets are bitmasks over universes of at most 16 elements.
+``eval_partial`` and ``terms.to_set_expression`` run one class fold: here
+the classes are an assignment's masks, there the masks of the free
+algebra's 0/1 points, or polynomials.  By the Rule of 0 and 1,
+``holds_in_idempotents`` is a 0/1 search, not an enumeration.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from .terms import (
     Var,
     Zero,
     _assigned,
+    _class_fold,
     _fold,
+    _Masks,
+    _postorder,
+    _Undefined,
     format_term,
 )
 
@@ -154,16 +161,14 @@ class Undefined(Record):
 PartialValue = Union[Defined, Undefined]
 
 
-def _strict(combine: Callable) -> Callable:
-    # The first undefined operand, else the combination of the two classes.
-    def visit(node: Term, left: PartialValue, right: PartialValue) -> PartialValue:
-        if isinstance(left, Undefined):
-            return left
-        if isinstance(right, Undefined):
-            return right
-        return combine(node, left.subset, right.subset)
-
-    return visit
+def _reason(node: Term) -> str:
+    # The side condition that the class fold found failing at `node`.
+    if type(node) is IntLit:
+        return _decimal(node.value) + " is not a class"
+    if type(node) is Neg:
+        return f"-{format_term(node.operand, compact=True)} uses unary minus, which is not a class operation"
+    a, b = format_term(node.left, compact=True), format_term(node.right, compact=True)
+    return f"{a}+{b} requires {a}∩{b}=∅" if type(node) is Add else f"{a}-{b} requires {b}⊆{a}"
 
 
 def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
@@ -174,45 +179,23 @@ def eval_partial(term: Term, assignment: ClassAssignment) -> PartialValue:
     first.  Unary minus and literals above 1 never denote classes.
     Powers evaluate their base once, classes being idempotent.
     Evaluation is strict: any undefined subterm, whether or not it could
-    influence the result, makes the whole term undefined.
+    influence the result, makes the whole term undefined.  The first in
+    postorder is reported, so a unary minus's operand before the minus.
     """
-    universe = assignment.universe.mask
-
-    def literal(node: IntLit) -> PartialValue:
-        if node.value > 1:
-            return Undefined(node, _decimal(node.value) + " is not a class")
-        return Defined(universe if node.value else 0)
-
-    def union(node: Add, s: int, t: int) -> PartialValue:
-        if s & t:
-            a, b = format_term(node.left, compact=True), format_term(node.right, compact=True)
-            return Undefined(node, f"{a}+{b} requires {a}∩{b}=∅")
-        return Defined(s | t)
-
-    def difference(node: Sub, s: int, t: int) -> PartialValue:
-        if t & ~s:
-            a, b = format_term(node.left, compact=True), format_term(node.right, compact=True)
-            return Undefined(node, f"{a}-{b} requires {b}⊆{a}")
-        return Defined(s & ~t & universe)
-
-    def neg(node: Neg, operand: PartialValue) -> PartialValue:
-        if isinstance(operand, Undefined):
-            return operand
-        s = format_term(node.operand, compact=True)
-        return Undefined(node, f"-{s} uses unary minus, which is not a class operation")
-
-    visits: dict[type, Callable] = {
-        Var: lambda node: Defined(assignment.mask(node.name)),
-        Zero: lambda node: Defined(0),
-        One: lambda node: Defined(universe),
-        IntLit: literal,
-        Mul: _strict(lambda node, s, t: Defined(s & t)),
-        Add: _strict(union),
-        Sub: _strict(difference),
-        Neg: neg,
-        Pow: lambda node, base: base,
-    }
-    return _fold(term, visits)
+    order = _postorder(term)
+    try:
+        return Defined(_class_fold(term, _Masks(assignment.universe.mask, assignment.mask), frozenset(), order))
+    except _Undefined as failure:
+        node = failure.node
+    # The fold stopped at `node`, but an unassigned name or a node that is
+    # no term anywhere in the tree still raises, checked only on this path
+    # so that a defined term is walked once.
+    for later in order:
+        if type(later) is Var:
+            assignment.mask(later.name)
+        elif not isinstance(later, Term):
+            raise TypeError(f"unexpected {type(later).__name__}: {later!r}")
+    return Undefined(node, _reason(node))
 
 
 # ----------------------------------------------------------------------

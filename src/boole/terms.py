@@ -38,10 +38,9 @@ limit: a term may be as long and as deeply nested as memory allows.
 from __future__ import annotations
 
 import re
-from functools import partial
 from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from ._record import Record, _set
 from .polynomial import (
@@ -705,7 +704,8 @@ def to_term(p: Polynomial) -> Term:
 # points of the term's n names.  There a class is a bitmask over the
 # points, and the checks and the operations are single bitwise operations.
 # Above a memory budget a class is its polynomial instead, and the checks
-# multiply polynomials.
+# multiply polynomials.  `models.eval_partial` runs the same class fold
+# over an assignment's masks.
 
 
 class NotTotallyInterpretableError(Exception):
@@ -751,38 +751,58 @@ def _mask_count(order: list) -> tuple[list[str], int]:
     return list(names), (len(names) + 1 + most) << len(names)
 
 
-class _PointMasks:
-    """Classes as bitmasks over the 2**n points of n names: bit k of a
-    class's mask is its value at the point k."""
+class _Undefined(Exception):
+    """Raised by the class fold at the first node, in postorder, that
+    denotes no class although its operands do; each caller phrases it."""
+
+    def __init__(self, node: Term):
+        self.node = node
+
+
+def _undefined(node: Term, *operands) -> NoReturn:
+    raise _Undefined(node)
+
+
+class _Masks:
+    """Classes as bitmasks over a universe: bit k of a class's mask says
+    whether element k is in it."""
 
     empty = 0
 
-    def __init__(self, names: list[str]):
-        size = 1 << len(names)
-        self.universe = (1 << size) - 1
-        half = size >> 1
-        # Each name's mask is runs of `half` zeros and `half` ones from the
-        # lowest point up, for a `half` that halves from name to name: the
-        # next mask is one shift and one exclusive or away.
-        masks: dict[str, int] = {}
-        mask = self.universe ^ ((1 << half) - 1)
-        for name in names:
-            masks[name] = mask
-            half >>= 1
-            mask ^= mask >> half
-        self.variable = masks.__getitem__
+    def __init__(self, universe: int, variable: Callable[[str], int]):
+        self.universe, self.variable = universe, variable
 
     @staticmethod
     def meet(node: Mul, s: int, t: int) -> int:
         return s & t
 
     @staticmethod
-    def union(s: int, t: int) -> int | None:
-        return None if s & t else s | t
+    def union(node: Add, s: int, t: int) -> int:
+        return _undefined(node) if s & t else s | t
 
     @staticmethod
-    def difference(s: int, t: int) -> int | None:
-        return None if t & ~s else s ^ t
+    def difference(node: Sub, s: int, t: int) -> int:
+        return _undefined(node) if t & ~s else s ^ t
+
+
+class _PointMasks(_Masks):
+    """The free algebra's classes: bitmasks over the 2**n points of n
+    names, bit k of a class's mask its value at the point k."""
+
+    def __init__(self, names: list[str]):
+        size = 1 << len(names)
+        universe = (1 << size) - 1
+        half = size >> 1
+        # Each name's mask is runs of `half` zeros and `half` ones from the
+        # lowest point up, for a `half` that halves from name to name: the
+        # next mask is one shift and one exclusive or away.
+        masks: dict[str, int] = {}
+        mask = universe ^ ((1 << half) - 1)
+        for name in names:
+            masks[name] = mask
+            half >>= 1
+            mask ^= mask >> half
+        super().__init__(universe, masks.__getitem__)
 
 
 def _polynomial(value: Polynomial | Term) -> Polynomial:
@@ -803,73 +823,69 @@ class _Polynomials:
         return node
 
     @staticmethod
-    def union(p: Polynomial | Term, q: Polynomial | Term) -> Polynomial | None:
+    def union(node: Add, p: Polynomial | Term, q: Polynomial | Term) -> Polynomial:
         p, q = _polynomial(p), _polynomial(q)
-        return None if p * q != ZERO else p + q
+        return _undefined(node) if p * q != ZERO else p + q
 
     @staticmethod
-    def difference(p: Polynomial | Term, q: Polynomial | Term) -> Polynomial | None:
+    def difference(node: Sub, p: Polynomial | Term, q: Polynomial | Term) -> Polynomial:
         p, q = _polynomial(p), _polynomial(q)
         rest = ONE - p
-        return None if rest != ZERO and q * rest != ZERO else p - q
+        return _undefined(node) if rest != ZERO and q * rest != ZERO else p - q
 
 
-# A value is a pair: the set expression and the subterm's class in one of
-# the two representations above, which each visit gets first.
+def _class_fold(term: Term, classes, leaves: frozenset, order: list):
+    # The class that `term` denotes in `classes`, in Boole's partial
+    # algebra of classes.  A unary minus denotes none; with Neg in
+    # `leaves` it fails before its operand is looked at.
+    visit: dict[type, Callable] = {
+        Var: lambda node: classes.variable(node.name),
+        One: lambda node: classes.universe,
+        Zero: lambda node: classes.empty,
+        IntLit: lambda node: _undefined(node) if node.value > 1 else classes.universe if node.value else classes.empty,
+        Mul: classes.meet,
+        Add: classes.union,
+        Sub: classes.difference,
+        Pow: lambda node, base: base,
+        Neg: _undefined,
+    }
+    return _fold(term, visit, leaves, order)
 
 
-def _set_literal(classes, node: IntLit) -> tuple:
-    if node.value > 1:
-        raise NotTotallyInterpretableError(node, _decimal(node.value) + " is not a class")
-    return (SetUniverse(), classes.universe) if node.value else (SetEmpty(), classes.empty)
-
-
-def _set_neg(classes, node: Neg):
-    raise NotTotallyInterpretableError(node, "unary minus has no class meaning")
-
-
-def _set_add(classes, node: Add, left: tuple, right: tuple) -> tuple:
-    union = classes.union(left[1], right[1])
-    if union is None:
-        raise NotTotallyInterpretableError(
-            node,
-            f"{format_term(node.left, compact=True)} and "
-            f"{format_term(node.right, compact=True)} are not disjoint",
-        )
-    return SetUnion(left[0], right[0]), union
-
-
-def _set_sub(classes, node: Sub, left: tuple, right: tuple) -> tuple:
-    difference = classes.difference(left[1], right[1])
-    if difference is None:
-        raise NotTotallyInterpretableError(
-            node,
-            f"{format_term(node.right, compact=True)} is not contained in "
-            f"{format_term(node.left, compact=True)}",
-        )
-    s, complement = left[0], SetComplement(right[0])
-    expr = complement if isinstance(s, SetUniverse) else SetIntersection(s, complement)
-    return expr, difference
-
-
+# The set expression of a term whose class fold passed.
 _TO_SET: dict[type, Callable] = {
-    Var: lambda classes, node: (SetVar(node.name), classes.variable(node.name)),
-    One: lambda classes, node: (SetUniverse(), classes.universe),
-    Zero: lambda classes, node: (SetEmpty(), classes.empty),
-    IntLit: _set_literal,
-    Mul: lambda classes, node, left, right: (
-        SetIntersection(left[0], right[0]),
-        classes.meet(node, left[1], right[1]),
-    ),
-    Add: _set_add,
-    Sub: _set_sub,
+    Var: lambda node: SetVar(node.name),
+    One: lambda node: SetUniverse(),
+    Zero: lambda node: SetEmpty(),
+    IntLit: lambda node: SetUniverse() if node.value else SetEmpty(),
+    Mul: lambda node, s, t: SetIntersection(s, t),
+    Add: lambda node, s, t: SetUnion(s, t),
+    Sub: lambda node, s, t: SetComplement(t) if type(s) is SetUniverse else SetIntersection(s, SetComplement(t)),
     # A power of an idempotent denotes the same class as its base, and
     # every term that translates compiles to an idempotent.
-    Pow: lambda classes, node, base: base,
-    # A leaf: unary minus fails whatever its operand.
-    Neg: _set_neg,
+    Pow: lambda node, base: base,
 }
+# Unary minus fails whatever its operand.
 _SET_LEAVES = frozenset({Neg})
+
+
+def _free_classes(term: Term) -> list:
+    # The postorder of `term`, after the class fold over the free algebra
+    # of its names has passed; raises _Undefined otherwise.
+    order = _postorder(term, _SET_LEAVES)
+    names, bits = _mask_count(order)
+    _class_fold(term, _PointMasks(names) if bits <= _MASK_BUDGET_BITS else _Polynomials, _SET_LEAVES, order)
+    return order
+
+
+def _set_condition(node: Term) -> str:
+    # The condition that translation fails at `node`.
+    if type(node) is IntLit:
+        return _decimal(node.value) + " is not a class"
+    if type(node) is Neg:
+        return "unary minus has no class meaning"
+    s, t = format_term(node.left, compact=True), format_term(node.right, compact=True)
+    return f"{s} and {t} are not disjoint" if type(node) is Add else f"{t} is not contained in {s}"
 
 
 def to_set_expression(term: Term) -> SetExpr:
@@ -877,18 +893,18 @@ def to_set_expression(term: Term) -> SetExpr:
     union, ``*`` intersection, ``s - t`` becomes s intersected with the
     complement of t (``1 - t`` is plain complement), 1 the universe and
     0 the empty set.  Raises NotTotallyInterpretableError otherwise."""
-    order = _postorder(term, _SET_LEAVES)
-    names, bits = _mask_count(order)
-    classes = _PointMasks(names) if bits <= _MASK_BUDGET_BITS else _Polynomials
-    visit = {kind: partial(function, classes) for kind, function in _TO_SET.items()}
-    return _fold(term, visit, _SET_LEAVES, order)[0]
+    try:
+        order = _free_classes(term)
+    except _Undefined as failure:
+        raise NotTotallyInterpretableError(failure.node, _set_condition(failure.node)) from None
+    return _fold(term, _TO_SET, _SET_LEAVES, order)
 
 
 def is_totally_interpretable(term: Term) -> bool:
     """True when the term denotes a class under every assignment."""
     try:
-        to_set_expression(term)
-    except NotTotallyInterpretableError:
+        _free_classes(term)
+    except _Undefined:
         return False
     return True
 

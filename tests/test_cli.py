@@ -6,6 +6,7 @@ parse error.
 """
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -34,6 +35,7 @@ GOLDEN = [
     (["normalize", "0"], "0\n", 0),
     (["normalize", "x ^ 3"], "x\n", 0),
     (["normalize", "x + (1-x)*y"], "x + y - x*y\n", 0),
+    (["normalize", "--", "-x"], "-x\n", 0),
     (["develop", "x + y"], "00 0\n01 1\n10 1\n11 2\n", 0),
     (["develop", "1"], "1\n", 0),
     (["develop", "x", "--vars=x,y"], "00 0\n01 0\n10 1\n11 1\n", 0),
@@ -472,43 +474,54 @@ def test_json_eval(capsys):
 
 
 # ----------------------------------------------------------------------
-# The README's CLI block: every ``boole ...  # -> output`` line runs as
-# documented.  " / " separates output lines, "..." stands for any text,
-# and a trailing "(exit N)" gives the exit code, 0 otherwise.
+# The README's CLI block: every ``boole ...`` line but the one that reads a
+# file runs as documented.  After "# -> " comes the output: " / "
+# separates its lines and "..." stands for any text.  A trailing
+# "(exit N)" gives the exit code, 0 otherwise.
 
 
 def readme_cli_examples():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
     examples = []
-    for line in block.splitlines():
-        command, arrow, documented = line.partition("# -> ")
-        if not arrow:
+    for line in filter(None, block.splitlines()):
+        command, _, comment = line.partition("# ")
+        argv = shlex.split(command)
+        assert argv[0] == "boole"
+        if "--file" in argv:
             continue
-        documented = re.sub(r"\s*\(one per line\)$", "", documented.strip())
+        documented = re.sub(r"\s*\(one per line\)$", "", comment.strip())
         code = re.search(r"\s*\(exit (\d)\)$", documented)
         if code:
             documented = documented[: code.start()]
-        argv = shlex.split(command)
-        assert argv[0] == "boole"
-        examples.append(
-            pytest.param(argv[1:], documented.split(" / "), int(code.group(1)) if code else 0, id=command.strip())
-        )
+        lines = documented[3:].split(" / ") if documented.startswith("-> ") else None
+        examples.append(pytest.param(argv[1:], lines, int(code.group(1)) if code else 0, id=command.strip()))
     return examples
 
 
 def test_readme_cli_block_is_annotated():
-    assert len(readme_cli_examples()) == 11
+    examples = readme_cli_examples()
+    assert len(examples) == 14
+    assert sum(example.values[1] is not None for example in examples) == 12
 
 
 @pytest.mark.parametrize("argv, lines, exit_code", readme_cli_examples())
 def test_readme_cli_examples(capsys, argv, lines, exit_code):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (exit_code, "")
+    if lines is None:
+        return
     shown = out.splitlines()
     assert len(shown) == len(lines)
     for got, want in zip(shown, lines):
         assert re.fullmatch(".*".join(map(re.escape, want.split("..."))), got), (got, want)
+
+
+def test_a_leading_minus_is_read_as_an_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["normalize", "-x"])
+    assert excinfo.value.code == 2
+    assert "the following arguments are required: expr" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -579,6 +592,38 @@ def test_python_dash_m_invocation():
     )
     assert result.returncode == 0
     assert result.stdout == "x\n"
+
+
+# The promise of no runtime dependency: a fresh interpreter imports boole
+# and runs every command, as text and as JSON, and what that loads is the
+# standard library and boole.  The child prints the top-level names of the
+# modules it loaded after its own start-up.
+STDLIB_ONLY = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+from boole.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        main(argv)
+print(json.dumps(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_commands_load_only_the_standard_library():
+    first = {argv[0]: argv for argv, _, _ in reversed(GOLDEN)}
+    assert sorted(first) == sorted(COMMANDS)
+    calls = [*first.values(), *([argv[0], "--format", "json", *argv[1:]] for argv in first.values())]
+    result = subprocess.run(
+        [sys.executable, "-c", STDLIB_ONLY, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    loaded = json.loads(result.stdout)
+    assert "boole" in loaded and "argparse" in loaded
+    assert [name for name in loaded if name != "boole" and name not in sys.stdlib_module_names] == []
 
 
 def test_stdout_is_utf8():

@@ -11,6 +11,7 @@ its operand, partial evaluation looks first).
 """
 
 import copy
+import itertools
 import pickle
 import sys
 import time
@@ -41,6 +42,7 @@ from boole.terms import (
     eval_set_expression,
     format_set_expression,
     format_term,
+    is_totally_interpretable,
     parse,
     poly,
     term_to_poly,
@@ -302,6 +304,22 @@ def test_set_denotation_matches_partial_evaluation(term, assignment):
         return
     value = eval_partial(term, assignment)
     assert value == Defined(eval_set_expression(expr, assignment.masks, assignment.universe.mask))
+
+
+# The free algebra's 0/1 points are the one-element assignments: a term is
+# totally interpretable exactly when it is defined at each of them.
+
+
+@given(terms)
+@example(NEG_INSIDE[0])
+@example(NEG_INSIDE[3])
+def test_total_interpretability_is_definedness_at_every_point(term):
+    names = term_variables(term)
+    defined = all(
+        isinstance(eval_partial(term, ClassAssignment(Universe(1), dict(zip(names, bits)))), Defined)
+        for bits in itertools.product((0, 1), repeat=len(names))
+    )
+    assert is_totally_interpretable(term) == defined
 
 
 multisets = st.integers(min_value=1, max_value=3).flatmap(
