@@ -5,8 +5,9 @@ are exactly the ones valid in the algebra of classes, so trying every
 0/1 point is a full decision procedure.  The checker tries them as a
 branch-and-prune search: in every subcube it fixes the variables an
 antecedent forces and skips the subcube when the answer on it is already
-known; an equation needs no trying at all, only one walk down its
-variables.
+known.  An equation needs no trying at all: its 0 half is dropped only
+when the equation holds all over it, so each variable costs at most two
+restrictions.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 

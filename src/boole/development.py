@@ -214,14 +214,14 @@ def first_difference(
     return None if found is None else found[0]
 
 
-# The search prunes only subcubes of more than _SCAN_NAMES free variables
-# and scans smaller ones in pieces of 2**_PIECE_NAMES points, evaluating
-# the sentence on every piece: pruning smaller subcubes, or sharing value
-# vectors between pieces, would make a sentence's cost depend on where its
-# variables fall in name order, not just on n and the witness.  The names
-# an antecedent forces are fixed in every subcube before it is split or
-# scanned, wherever they fall in name order, so that rule keeps the same
-# steady cost.
+# With antecedents left, the search prunes only subcubes of more than
+# _SCAN_NAMES free variables and scans smaller ones in pieces of
+# 2**_PIECE_NAMES points, evaluating the sentence on every piece: pruning
+# smaller subcubes, or sharing value vectors between pieces, would make a
+# sentence's cost depend on where its variables fall in name order, not
+# just on n and the witness.  The names an antecedent forces are fixed in
+# every subcube before it is split or scanned, wherever they fall in name
+# order, so that rule keeps the same steady cost.
 _SCAN_NAMES = 17
 _PIECE_NAMES = 10
 
@@ -235,46 +235,50 @@ def least_point(
     where every antecedent is 0 and the consequent is not, and the
     consequent's value there; None if there is none.
 
-    Branch and prune, 0 before 1, on an explicit stack of subcubes, each
-    with the bits fixed on it.  A subcube is dropped when the consequent
-    is the zero polynomial on it or an antecedent a nonzero constant, and
-    an antecedent that is the zero polynomial holds on the whole subcube
-    and is dropped itself.  Then the names an antecedent forces are fixed:
-    when setting x to one bit makes some antecedent a nonzero constant, no
-    witness in the subcube has that bit, so x takes the other one, and the
-    subcube restricted to the forced bits goes back on the stack.  Only a
-    subcube that forces nothing is split, scanned or walked.  A sentence
-    such as x1*...*xn = 1 -> x1+...+xn = n is decided by forcing alone,
-    and a chain x1*(1 - x2) = 0 & ... -> x1*xn = x1 by one split with
-    forcing below it.
+    Branch and prune, 0 before 1, on an explicit stack of subcubes.  An
+    entry holds the bits fixed above a subcube, the bits the subcube fixes
+    (one half of a split, or the names an antecedent forces) and the
+    sentence above it, which is restricted to those bits when the entry is
+    popped, so a half that is never popped is never restricted.  A subcube
+    is dropped when the consequent is the zero polynomial on it or an
+    antecedent a nonzero constant, and an antecedent that is the zero
+    polynomial holds on the whole subcube and is dropped itself.  Then the
+    names an antecedent forces are fixed: when setting x to one bit makes
+    some antecedent a nonzero constant, no witness in the subcube has that
+    bit, so x takes the other one.  Only a subcube that forces nothing is
+    split or scanned.  A sentence such as x1*...*xn = 1 -> x1+...+xn = n
+    is decided by forcing alone, and a chain x1*(1 - x2) = 0 & ... ->
+    x1*xn = x1 by one split with forcing below it.
 
-    With no antecedent left the answer is a walk: a multilinear polynomial
-    is zero exactly when it vanishes at every 0/1 point, so each name is
-    fixed to 0 if the consequent stays nonzero there and to 1 otherwise, n
-    restrictions in all.  Otherwise, once at most 17 variables are free,
-    the subcube is scanned in order, the sentence folded into one
-    polynomial: at worst 2**(n-17) scans of 131072 points, for n the free
-    names."""
-    stack = [({}, consequent, antecedents)]  # a subcube's fixed bits, then the sentence on it
+    A subcube with no antecedent left splits on its first free name: a
+    multilinear polynomial is zero exactly when it vanishes at every 0/1
+    point, so the 0 half holds a witness unless the consequent is zero
+    there, and an equation costs n to 2n restrictions.  With antecedents
+    left, once at most 17 variables are free, the subcube is scanned in
+    order, the sentence folded into one polynomial: at worst 2**(n-17)
+    scans of 131072 points, for n the free names."""
+    stack = [({}, {}, consequent, antecedents)]  # bits fixed above, bits fixed here, sentence above
     while stack:
-        fixed, p, conditions = stack.pop()
+        fixed, at, p, conditions = stack.pop()
+        if at:
+            p, *conditions = [_restrict(q, at) for q in (p, *conditions)]
         conditions = [a for a in conditions if a]
         if not p or any(a.is_constant() for a in conditions):
             continue
+        fixed = {**fixed, **at}
         forced = _forced(conditions)
         rest = [name for name in names if name not in fixed]
         if forced:
             parts = [forced]
-        elif conditions and len(rest) > _SCAN_NAMES:
+        elif len(rest) > (_SCAN_NAMES if conditions else 0):
             parts = [{rest[0]: 1}, {rest[0]: 0}]  # the 0 half is popped first
         else:
-            found = _scan(p, conditions, rest) if conditions else _walk(p, rest)
+            found = _scan(p, conditions, rest) if conditions else (0, p.constant_value())
             if found is not None:
                 bits = iter(format(found[0], f"0{len(rest)}b"))
                 return "".join(str(fixed[name]) if name in fixed else next(bits) for name in names), found[1]
             continue
-        for at in parts:
-            stack.append(({**fixed, **at}, _restrict(p, at), [_restrict(a, at) for a in conditions]))
+        stack.extend((fixed, part, p, conditions) for part in parts)
     return None
 
 
@@ -300,16 +304,6 @@ def _forced(antecedents: Sequence[Polynomial]) -> dict[str, int]:
                 if table.get(1 << (top - i), 0) == total - constant and _restrict(a, {name: 1}).is_constant():
                     forced.setdefault(name, 0)
     return forced
-
-
-def _walk(p: Polynomial, names: Sequence[str]) -> tuple[int, int]:
-    # The least point over `names` where p, nonzero, is not 0; p's value there.
-    index = 0
-    for name in names:
-        low = _restrict(p, {name: 0})
-        index = index << 1 | (0 if low else 1)
-        p = low or _restrict(p, {name: 1})
-    return index, p.constant_value()
 
 
 def _scan(

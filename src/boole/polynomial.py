@@ -104,8 +104,9 @@ def check_variable_limit(count: int, limit: int | None = None) -> None:
         raise ValueError(f"the variable limit must be nonnegative, got {cap}")
     if count > cap:
         raise VariableLimitError(
-            f"{count} variables would enumerate 2**{count} cases; the limit "
-            f"is {cap} (pass a higher limit explicitly if you mean it)"
+            f"{count} variable{'' if count == 1 else 's'} would enumerate "
+            f"2**{count} cases; the limit is {cap} (pass a higher limit "
+            "explicitly if you mean it)"
         )
 
 

@@ -305,26 +305,12 @@ def _postorder(root: object, leaves: frozenset = frozenset()) -> list:
 
 def _flat(root: object) -> tuple:
     # The flat form of a tree, or of a value as its own tree: each node's
-    # pair as it is popped, a right subtree popped before the left one, in
-    # reverse.
-    flat, stack = [], [root]
-    append, push = flat.append, stack.append
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        shape = _SHAPE.get(kind)
-        if shape is None:
-            append((None, node))
-            continue
-        count, subtree, payload = shape
-        append((kind, payload and payload(node)))
-        if count == 2:
-            push(node.left)
-            push(node.right)
-        elif count:
-            push(subtree(node))
-    flat.reverse()
-    return tuple(flat)
+    # pair, in postorder.
+    pairs = []
+    for node in _postorder(root):
+        shape = _SHAPE.get(type(node))
+        pairs.append((None, node) if shape is None else (type(node), shape[2] and shape[2](node)))
+    return tuple(pairs)
 
 
 def _unflatten(flat) -> object:

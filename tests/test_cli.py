@@ -278,6 +278,9 @@ def test_variable_cap_error(capsys):
     assert "limit" in err
     code, _, _ = run(capsys, "develop", "x*y", "--max-vars=1")
     assert code == 2
+    code, _, err = run(capsys, "r01", "--max-vars", "0", "x = 0")
+    assert code == 2
+    assert "1 variable would enumerate 2**1 cases" in err
     code, out, _ = run(capsys, "develop", "x*y", "--max-vars=2")
     assert code == 0
     assert out.endswith("11 1\n")

@@ -317,7 +317,7 @@ def test_equality_by_development():
     assert equal_by_development(x * (x + y - x * y), x)
     assert not equal_by_development(x + y, x + y - x * y)
     assert first_difference(x + y, x + y - x * y) == "11"
-    # no names at all, and a walk made only of ones
+    # no names at all, and a witness made only of ones
     assert first_difference(ONE, ZERO) == ""
     assert first_difference(Polynomial({tuple(f"x{i:02d}" for i in range(20)): 1}), ZERO) == "1" * 20
     p = poly("z*(1 - z) + x")
@@ -436,7 +436,7 @@ def test_first_difference_matches_substitution(p, q, extra):
     assert first_difference(p, q, names) == want
 
 
-# The walk over 11-14 names, more than a scanned piece holds; r adds only
+# The search over 11-14 names, more than a scanned piece holds; r adds only
 # monomials of degree 6 or more, so p and p + r can first differ late.
 LONG_NAMES = tuple(f"x{i:02d}" for i in range(14))
 long_polynomials = st.dictionaries(

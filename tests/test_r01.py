@@ -334,6 +334,32 @@ def transforms_of(monkeypatch):
     return sizes
 
 
+def restrictions_of(monkeypatch):
+    # The bits of every call least_point makes to _restrict, in call order.
+    calls = []
+    original = boole.development._restrict
+
+    def spy(p, bits):
+        calls.append(dict(bits))
+        return original(p, bits)
+
+    monkeypatch.setattr(boole.development, "_restrict", spy)
+    return calls
+
+
+def test_a_half_that_is_never_popped_is_never_restricted(monkeypatch):
+    # 18 names, so the search splits on x00, and nothing is forced; the
+    # least witness has x00 = 0, so the x00 = 1 half is never popped
+    tail = "*".join(f"x{i:02d}" for i in range(3, 18))
+    sentence = parse_horn(f"x01 = x02 -> (1 - x00)*{tail} = 0")
+    calls = restrictions_of(monkeypatch)
+    verdict = check_r01(sentence)
+    assert verdict == oracle_check_r01(sentence)
+    assert verdict.witness["x00"] == 0
+    assert {"x00": 0} in calls
+    assert all(bits.get("x00") != 1 for bits in calls)
+
+
 def test_search_scans_at_most_ten_names(monkeypatch):
     scanned = transforms_of(monkeypatch)
     assert check_r01(parse_horn(SQUARED)).holds
@@ -394,7 +420,7 @@ def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Equations: a walk down the names, no scan
+# Equations: one split per name, no scan
 
 
 def test_equations_run_no_transform(monkeypatch):
@@ -413,7 +439,7 @@ def test_equations_run_no_transform(monkeypatch):
     assert transforms == []
 
 
-def test_equation_failing_only_at_the_last_point_is_quick():
+def test_equation_failing_only_at_the_last_point_is_quick(monkeypatch):
     # p is nonzero only where all 20 variables are 1, the last of 2**20
     # points in sigma order
     start = time.perf_counter()
@@ -421,3 +447,11 @@ def test_equation_failing_only_at_the_last_point_is_quick():
     assert time.perf_counter() - start < 1.0
     assert dict(verdict.witness) == dict.fromkeys(TWENTY, 1)
     assert verdict.consequent_value == 3
+    # over 40 names each name costs the 0 half, zero and pruned, and the
+    # 1 half
+    forty = tuple(f"x{i:02d}" for i in range(40))
+    calls = restrictions_of(monkeypatch)
+    verdict = check_equation(Polynomial({forty: 1}), max_vars=40)
+    assert dict(verdict.witness) == dict.fromkeys(forty, 1)
+    assert verdict.consequent_value == 1
+    assert len(calls) <= 80
