@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Callable
 
 from .development import develop, development_values, first_difference, sigma_strings
@@ -207,7 +206,8 @@ def _cmd_r01(args: argparse.Namespace) -> int:
     if args.sentence is not None:
         lines = [(1, args.sentence)]
     else:
-        raw = Path(args.file).read_text(encoding="utf-8").splitlines()
+        with open(args.file, encoding="utf-8") as file:  # pathlib would cost a cold start ~5 ms
+            raw = file.read().splitlines()
         lines = [(i + 1, line) for i, line in enumerate(raw) if line.strip()]
     status = 0
     for number, line in lines:
@@ -315,7 +315,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``boole`` parser.  Every subcommand is registered with its help, so
+    usage, ``--help`` and "invalid choice" read the same for any `command`;
+    only `command`'s subparser, or all of them when it is None, gets its
+    arguments, since building the others is most of a small call's time."""
     parser = argparse.ArgumentParser(
         prog="boole",
         description="Boole's algebra of logic: canonical polynomials, "
@@ -338,6 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (text, arguments) in _COMMANDS.items():
+        if command is not None and name != command:
+            sub.add_parser(name, help=text, add_help=False)
+            continue
         cmd = sub.add_parser(name, parents=[common], help=text)
         for flag, options in arguments.items():
             cmd.add_argument(flag, **options)
@@ -349,7 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.max_vars is not None and args.max_vars < 0:
         parser.error(f"argument --max-vars: the variable limit must be nonnegative, got {args.max_vars}")

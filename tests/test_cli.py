@@ -5,6 +5,7 @@ plus the exit-code contract: 0 success, 1 semantic negative, 2 usage or
 parse error.
 """
 
+import argparse
 import json
 import os
 import re
@@ -243,6 +244,25 @@ def test_assignment_numbers_may_have_spaces_and_a_sign(capsys):
 def test_parsed_arguments_name_the_command_and_hold_no_handler():
     args = _build_parser().parse_args(["normalize", "x"])
     assert vars(args) == {"command": "normalize", "expr": "x", "format": "text", "max_vars": None}
+
+
+COMMAND_OPTIONS = ("--vars", "--elim", "--for", "--file", "--classes", "--multisets")
+
+
+def test_main_builds_only_the_invoked_subcommand(capsys, monkeypatch):
+    # ArgumentParser inherits add_argument from the container class, as the eval group does
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(
+        argparse._ActionsContainer,
+        "add_argument",
+        lambda container, *flags, **options: added.extend(flags) or add_argument(container, *flags, **options),
+    )
+    assert run(capsys, "normalize", "x") == (0, "x\n", "")
+    assert [flag for flag in COMMAND_OPTIONS if flag in added] == []
+    added.clear()
+    _build_parser()
+    assert [flag for flag in COMMAND_OPTIONS if flag not in added] == []
 
 
 def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
@@ -627,6 +647,18 @@ def test_commands_load_only_the_standard_library():
     loaded = json.loads(result.stdout)
     assert "boole" in loaded and "argparse" in loaded
     assert [name for name in loaded if name != "boole" and name not in sys.stdlib_module_names] == []
+
+
+def test_import_leaves_pathlib_unloaded():
+    # -S keeps site's .pth hooks, which may load pathlib themselves, out of it
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, boole.cli; print('pathlib' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_stdout_is_utf8():

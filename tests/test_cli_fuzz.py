@@ -11,10 +11,12 @@ finish within a wall-time bound.
 import contextlib
 import io
 import time
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boole import cli
 from boole.cli import main
 
 CALL_SECONDS = 10
@@ -96,3 +98,21 @@ def test_every_argument_list_exits_0_1_or_2(argv):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "internal error" not in err, (argv, err)
     assert elapsed < CALL_SECONDS, (argv, elapsed)
+
+
+# main builds only the invoked subcommand's arguments; every outcome must be
+# the one of a parser with all ten subcommands built in full.
+@settings(deadline=None, max_examples=300)
+@given(argument_lists())
+@example([])
+@example(["--help"])
+@example(["-h"])
+@example(["frobnicate"])
+@example(["--format", "json", "normalize", "x"])
+@example(["--", "normalize", "x"])
+@example(["eval", "x"])
+def test_building_one_subcommand_changes_no_outcome(argv):
+    build = cli._build_parser
+    with mock.patch.object(cli, "_build_parser", lambda command=None: build()):
+        full = run(argv)
+    assert run(argv) == full
