@@ -112,6 +112,9 @@ class DevelopmentTable(Record):
             raise ValueError(f"table is missing an entry for sigma {missing}") from None
         if len(ordered) != len(self.coefficients):
             raise ValueError("table must have exactly one entry per sigma")
+        for sigma, entry in ordered.items():
+            if not isinstance(entry, Polynomial):
+                raise TypeError(f"the entry for sigma {sigma!r} is not a Polynomial: {entry!r}")
         object.__setattr__(self, "coefficients", MappingProxyType(ordered))
 
     @classmethod

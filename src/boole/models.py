@@ -20,12 +20,13 @@ algebra's 0/1 points, or polynomials.  By the Rule of 0 and 1,
 from __future__ import annotations
 
 from math import log2
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Literal, Mapping, Union
 
 from ._record import Record
 from .development import least_point, sigma_assignment
-from .polynomial import MAX_POWER_BITS, Polynomial, _decimal, check_variable_limit
+from .polynomial import MAX_POWER_BITS, Polynomial, _assigned, _decimal, check_variable_limit
 from .terms import (
     Add,
     IntLit,
@@ -37,7 +38,6 @@ from .terms import (
     Term,
     Var,
     Zero,
-    _assigned,
     _class_fold,
     _fold,
     _Masks,
@@ -232,34 +232,28 @@ class Multiset(Record):
             raise ValueError(f"{self} is not a characteristic function")
         return mask_of(i for i, v in enumerate(self.values) if v)
 
-    def _match(self, other: "Multiset") -> None:
+    def _pointwise(self, other: Union["Multiset", int], op: Callable[[int, int], int]) -> "Multiset":
+        other = _coerce(other, self.size)
         if self.size != other.size:
-            raise ValueError(
-                f"universe mismatch: sizes {self.size} and {other.size}"
-            )
+            raise ValueError(f"universe mismatch: sizes {self.size} and {other.size}")
+        return Multiset(tuple(map(op, self.values, other.values)))
 
     def __add__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a + b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a - b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, sub)
 
     def __rsub__(self, other: Union["Multiset", int]) -> "Multiset":
-        return _coerce(other, self.size).__sub__(self)
+        return _coerce(other, self.size)._pointwise(self, sub)
 
     def __neg__(self) -> "Multiset":
         return Multiset(tuple(-a for a in self.values))
 
     def __mul__(self, other: Union["Multiset", int]) -> "Multiset":
-        other = _coerce(other, self.size)
-        self._match(other)
-        return Multiset(tuple(a * b for a, b in zip(self.values, other.values)))
+        return self._pointwise(other, mul)
 
     __rmul__ = __mul__
 

@@ -345,9 +345,7 @@ class Polynomial:
         total = 0
         for mono, coeff in _ordered(self):
             for name in mono:
-                if name not in assignment:
-                    raise KeyError(f"no value assigned to variable {name!r}")
-                coeff *= assignment[name]
+                coeff *= _assigned(assignment, name)
             total += coeff
         return total
 
@@ -393,6 +391,12 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return str(self)
+
+
+def _assigned(values: Mapping[str, object], name: str):
+    if name not in values:
+        raise KeyError(f"no value assigned to variable {name!r}")
+    return values[name]
 
 
 def _coerce(value: object):
@@ -595,40 +599,9 @@ def _power(table: dict[int, int], exponent: int) -> dict[int, int]:
 
 
 def _check_power_bits(table: dict[int, int]) -> dict[int, int]:
-    _check_bits(max(map(abs, table.values()), default=0).bit_length())
-    return table
-
-
-def _check_bits(bits: int) -> None:
-    if bits > MAX_POWER_BITS:
+    if max(map(abs, table.values()), default=0).bit_length() > MAX_POWER_BITS:
         raise ValueError(f"power too large: its coefficients pass {MAX_POWER_BITS} bits")
-
-
-def _coefficient_power(coeff: int, exponent: int) -> int:
-    """coeff**exponent for an exponent of at least 1, refused exactly where
-    `_power` refuses the table {mask: coeff}: where it passes
-    MAX_POWER_BITS, which 0, 1 and -1 never do, nor a first power.  The
-    size of each product is checked before it is built, so no number on
-    the way passes the bound by more than one bit."""
-    if exponent == 1 or -1 <= coeff <= 1:
-        return coeff if exponent & 1 else coeff * coeff
-    result, square = 1, coeff
-    while True:
-        if exponent & 1:
-            result = _bounded_product(result, square)
-        exponent >>= 1
-        if not exponent:
-            return result
-        square = _bounded_product(square, square)
-
-
-def _bounded_product(a: int, b: int) -> int:
-    # a*b, refused once it passes MAX_POWER_BITS: before it is built when
-    # its smallest possible size does.
-    _check_bits(a.bit_length() + b.bit_length() - 1)
-    product = a * b
-    _check_bits(product.bit_length())
-    return product
+    return table
 
 
 # ----------------------------------------------------------------------

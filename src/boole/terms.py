@@ -21,8 +21,8 @@ found by a second scan, only when the error is raised.  The parser is
 one loop with an explicit stack, and its one output is the tree's flat
 form: ``(class, payload)`` pairs in postorder, the payload being the
 node's one field that is not a subtree, or None.  Nodes compare, hash,
-copy and pickle by that form, ``parse`` builds a tree from it in one
-stack loop, and one compiler turns it into a polynomial: ``poly``
+``repr``, copy and pickle by that form, ``parse`` builds a tree from it
+in one stack loop, and one compiler turns it into a polynomial: ``poly``
 compiles the form of its text, so compiled text never becomes a tree,
 and ``term_to_poly`` the form of a tree.  Variables are idempotent, so
 the compiler holds a run of factors such as ``7*y*x*y`` as one
@@ -48,7 +48,7 @@ from .polynomial import (
     ZERO,
     Polynomial,
     _add_into,
-    _coefficient_power,
+    _assigned,
     _decimal,
     _digits_value,
     _power,
@@ -98,9 +98,9 @@ _VALUE = (0, None, None)
 
 
 class _Node(Record):
-    """Term and set-expression nodes.  ``==``, ``hash``, copies and
-    pickles use the tree's flat form, and ``repr`` keeps its own stack,
-    so the depth of a tree costs no Python frames."""
+    """Term and set-expression nodes.  ``==``, ``hash``, ``repr``, copies
+    and pickles use the tree's flat form, so the depth of a tree costs no
+    Python frames."""
 
     __slots__ = ()
     _subtrees = 0
@@ -123,21 +123,24 @@ class _Node(Record):
         return hash(_flat(self))
 
     def __repr__(self) -> str:
-        pieces, stack = [], [self]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                pieces.append(item)
-                continue
-            pieces.append(f"{item.__class__.__qualname__}(")
-            todo = []
-            for name in item._fields:
-                value = getattr(item, name)
-                todo.append(f", {name}=" if todo else f"{name}=")
-                todo.append(value if isinstance(value, _Node) else repr(value))
-            todo.append(")")
-            stack += reversed(todo)
-        return "".join(pieces)
+        # The text from its end, off the flat form from its end: a node's
+        # last piece comes at once, and each other one once the subtree after
+        # it is done, so that the time is linear in the text at any depth.
+        pieces, waiting = [], []
+        for kind, payload in reversed(_flat(self)):
+            if kind is None:
+                gaps = [repr(payload)]
+            else:
+                count, _, field = _SHAPE[kind]
+                last = f", {kind._fields[count]}={payload!r})" if field else ")"
+                gaps = [f", {name}=" for name in kind._fields[:count]] + [last]
+                gaps[0] = kind.__qualname__ + "(" + gaps[0].removeprefix(", ")
+            pieces.append(gaps.pop())
+            waiting.append(gaps)
+            while len(waiting) > 1 and not waiting[-1]:
+                waiting.pop()
+                pieces.append(waiting[-1].pop())
+        return "".join(reversed(pieces))
 
 
 # Constructors for the shapes built in bulk.
@@ -537,10 +540,10 @@ def format_term(term: Term, compact: bool = False) -> str:
 # signs the smaller is added into the larger.  So compiling takes time
 # linear in the form: one walk, `_flatten`, pushes the deferred values'
 # coefficients and masks down into one table, and runs only at the root,
-# at a ^ on a table and at a * between two tables.  A coefficient of 1 or
-# -1 stays outside the table at a ^, so a negated idempotent is its own
-# power at once.  The root's table becomes the polynomial, and nothing is
-# sorted.
+# at a ^ and at a * between two tables.  A ^ leaves a lone term with a
+# coefficient of -1, 0 or 1 lone and powers any other value as a table,
+# with a coefficient of 1 or -1 outside, so a negated idempotent is its
+# own power at once.  The root's table becomes the polynomial, unsorted.
 # The classes that compile are the term nodes.
 _COMPILED = frozenset({Var, Zero, One, IntLit, Add, Sub, Mul, Neg, Pow})
 
@@ -640,8 +643,8 @@ def _compile(flat: list | tuple) -> Polynomial:
             push((0 if kind is Zero else 1, 0, None, None))
         elif kind is Pow:
             coeff, mask, table, parts = stack[-1]
-            if table is None:
-                stack[-1] = _coefficient_power(coeff, payload), mask, None, None
+            if table is None and -1 <= coeff <= 1:
+                stack[-1] = coeff if payload & 1 else coeff * coeff, mask, None, None
             else:
                 sign = coeff if coeff == 1 or coeff == -1 else 1
                 table = _power(_flatten(coeff * sign, mask, table, parts), payload)
@@ -927,12 +930,6 @@ def eval_set_expression(expr: SetExpr, masks: Mapping[str, int], universe_mask: 
         SetComplement: lambda node, s: universe_mask & ~s,
     }
     return _fold(expr, visits)
-
-
-def _assigned(values: Mapping[str, object], name: str):
-    if name not in values:
-        raise KeyError(f"no value assigned to variable {name!r}")
-    return values[name]
 
 
 def term_variables(term: Term) -> tuple[str, ...]:

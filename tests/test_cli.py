@@ -217,6 +217,8 @@ def test_huge_class_element_is_outside_the_universe(capsys):
     "option, spec, message",
     [
         ("--classes", "U=2; x={0}; x={1}", "variable 'x' is assigned twice"),
+        ("--classes", "U=2; x", "bad assignment entry 'x'"),
+        ("--classes", "U=2; 1x={0}", "bad assignment entry '1x={0}'"),
         ("--multisets", "U=2; x=[0,1]; y=[1,1]; x=[1,1]", "variable 'x' is assigned twice"),
         ("--classes", "U=2; x={0,}", "bad element in assignment entry 'x={0,}'"),
         ("--multisets", "U=2; x=[1,]", "bad element in assignment entry 'x=[1,]'"),

@@ -208,6 +208,7 @@ def test_from_table_examples():
         },
     )
     assert from_table(table) == x + y
+    assert table.to_polynomial() == x + y
     zero_table = DevelopmentTable(("x", "y"), {s: ZERO for s in sigma_strings(2)})
     assert from_table(zero_table) == ZERO
     ones = DevelopmentTable(("x",), {"0": ONE, "1": ONE})
@@ -236,6 +237,9 @@ def test_table_validation():
         table["01"]
     with pytest.raises(TypeError):
         table.coefficients["0"] = ONE  # type: ignore[index]
+    # an int entry would fail only later, in from_table and is_complete
+    with pytest.raises(TypeError, match="^the entry for sigma '0' is not a Polynomial: 1$"):
+        DevelopmentTable(("x",), {"0": 1, "1": 2})  # type: ignore[dict-item]
 
 
 @given(polynomials, st.sets(st.sampled_from(VAR_NAMES)))

@@ -79,6 +79,7 @@ def test_class_assignment():
     a = ClassAssignment(U2, {"x": [0], "y": 0b11})
     assert a.mask("x") == 0b01 and a.subset("y") == {0, 1}
     assert str(a) == "U=2; x={0}; y={0, 1}"
+    assert list(a.items()) == [("x", 0b01), ("y", 0b11)]
     with pytest.raises(ValueError):
         ClassAssignment(U2, {"x": [5]})
     with pytest.raises(KeyError):
@@ -181,6 +182,12 @@ def test_multiset_arithmetic():
     assert 3 * a == Multiset((3, 0))
     with pytest.raises(ValueError):
         a + Multiset((1,))
+    with pytest.raises(ValueError, match="universe mismatch: sizes 1 and 2"):
+        Multiset((1,)) - a
+    with pytest.raises(ValueError, match="exponent must be a nonnegative integer, got -1"):
+        Multiset((1,)) ** -1
+    with pytest.raises(TypeError, match="cannot combine a Multiset with 'a'"):
+        Multiset((1,)) + "a"  # type: ignore[operator]
 
 
 def test_multiset_predicates():

@@ -33,6 +33,8 @@ def test_constants():
     assert dict(Polynomial.constant(-2).terms) == {(): -2}
     assert Polynomial.constant(0) == ZERO
     assert Polynomial.constant(1) == ONE
+    with pytest.raises(TypeError, match="constant 1.5 is not an integer"):
+        Polynomial.constant(1.5)  # type: ignore[arg-type]
 
 
 def test_variable():
@@ -138,6 +140,10 @@ def test_int_coercion():
     assert x - 1 == -(1 - x)
     # the flattening product turns 1 - x*x into 1 - x
     assert (1 + x) * (1 - x) == 1 - x
+    assert +x is x
+    for combine in (lambda: x + "a", lambda: x - "a", lambda: "a" - x, lambda: x * "a"):
+        with pytest.raises(TypeError):
+            combine()
 
 
 def test_powers():
@@ -191,8 +197,9 @@ COEFFICIENTS.append(pytest.param("1" + "0" * 20000, HUGE, id="10^20000"))
 
 @pytest.mark.parametrize("text, coeff", COEFFICIENTS)
 def test_one_term_powers_are_refused_where_the_kernel_refuses(text, coeff):
-    # A power of one term is compiled as a power of its coefficient, and
-    # must be refused exactly where the table power would be.
+    # A power of one term is compiled as the table power, but for a
+    # coefficient of -1, 0 or 1, and must be refused exactly where the
+    # table power would be.
     assert boole.polynomial.MAX_POWER_BITS == 65536
     edge = FIRST_REFUSED.get(abs(coeff))
     exponents = [1, 2, 3, 65535, 65536, 65537, 10**30] if edge is None else [edge - 1, edge, edge + 1]
@@ -333,6 +340,8 @@ def test_substitute():
     # recombination uses the flattening product
     assert (x * y).substitute("y", x + y) == x * (x + y)
     assert (x + y).substitute("q", 5) == x + y
+    with pytest.raises(TypeError, match="replacement must be a Polynomial or an int"):
+        x.substitute("x", "y")  # type: ignore[arg-type]
 
 
 def test_substitute_derived_check():

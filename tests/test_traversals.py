@@ -359,6 +359,9 @@ def test_errors_for_what_is_not_a_node():
         term_to_poly(Add(X, SetVar("y")))
     with pytest.raises(TypeError, match="^unexpected int: 5$"):
         term_to_poly(5)
+    # past the first undefined node, here x + x
+    with pytest.raises(TypeError, match="^unexpected int: 5$"):
+        eval_partial(Add(Add(X, X), 5), ClassAssignment(Universe(1), {"x": 1}))
 
 
 # ----------------------------------------------------------------------
@@ -479,9 +482,10 @@ ONE_TERM_SUM = "-" + "".join(
 
 
 def test_one_term_products_compile_without_the_product_kernel(monkeypatch):
-    # A run of factors is a coefficient and a mask, and so is its power:
-    # the kernel's product runs only where a * meets two tables, and its
-    # power only on a table.
+    # A run of factors is a coefficient and a mask, and so is its power
+    # when the coefficient is -1, 0 or 1: the kernel's product runs only
+    # where a * meets two tables, and its power only on a table or on a
+    # run with another coefficient.
     expected = [oracle_term_to_poly(parse(text)) for text in (ONE_TERM_SUM, SIGNED_SUM)]
     multiply, power, calls, powers = boole.terms._product, boole.terms._power, [], []
     monkeypatch.setattr(boole.terms, "_product", lambda p, q: calls.append(1) or multiply(p, q))
@@ -494,6 +498,17 @@ def test_one_term_products_compile_without_the_product_kernel(monkeypatch):
     assert len(calls) == 1
     assert poly("(x + y)^2") == oracle_term_to_poly(parse("(x + y)^2"))
     assert len(powers) == 1
+
+
+def test_one_term_powers_with_a_coefficient_past_one_reach_the_power_kernel(monkeypatch):
+    power, powers = boole.terms._power, []
+    monkeypatch.setattr(boole.terms, "_power", lambda table, k: powers.append(k) or power(table, k))
+    assert poly("(3*x*y)^5") == oracle_term_to_poly(parse("(3*x*y)^5"))
+    assert powers == [5]
+    powers.clear()
+    text = "x^7 + (-x*y)^4 + (0*x)^9"
+    assert poly(text) == term_to_poly(parse(text)) == oracle_term_to_poly(parse(text))
+    assert powers == []
 
 
 def test_nested_sums_compile_without_the_product_kernel(monkeypatch):
