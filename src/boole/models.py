@@ -208,7 +208,11 @@ class Multiset(Record):
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = tuple(self.values)
+        for v in values:
+            if not isinstance(v, int):
+                raise TypeError(f"multiset value {v!r} is not an integer")
+        object.__setattr__(self, "values", tuple(map(int, values)))  # a bool is stored as its int
 
     @classmethod
     def constant(cls, value: int, size: int) -> "Multiset":

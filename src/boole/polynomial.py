@@ -200,7 +200,8 @@ class Polynomial:
     def _make(cls, names: tuple[str, ...], table: dict[int, int]) -> "Polynomial":
         # Trusted path for internal arithmetic: `table` is keyed by masks
         # over `names`, ascending.  Zero coefficients are dropped from it
-        # in place, and so are the names no monomial uses.
+        # in place, and so are the names no monomial uses.  It is also the
+        # constant constructor: ``_make((), {0: value})``.
         for mask in [mask for mask, coeff in table.items() if not coeff]:
             del table[mask]
         used = reduce(or_, table, 0)
@@ -211,26 +212,18 @@ class Polynomial:
         return self
 
     @classmethod
-    def _constant(cls, value: int) -> "Polynomial":
-        # Trusted path for an int constant: no names, and no table entry
-        # when it is 0.
-        self = object.__new__(cls)
-        self._names, self._table = (), {0: value} if value else {}
-        return self
-
-    @classmethod
     def zero(cls) -> "Polynomial":
-        return _ZERO
+        return ZERO
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return _ONE
+        return ONE
 
     @classmethod
     def constant(cls, value: int) -> "Polynomial":
         if not isinstance(value, int):
             raise TypeError(f"constant {value!r} is not an integer")
-        return Polynomial._constant(int(value))
+        return Polynomial._make((), {0: int(value)})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -429,8 +422,6 @@ def _select(names: Sequence[str], mask: int) -> Monomial:
     # The names at a mask's set bits, ascending.  Only the set bits are
     # visited: a mask over 20000 names may have one.
     top = len(names)
-    if not mask & (mask - 1):  # at most one bit, as in most terms
-        return (names[top - mask.bit_length()],) if mask else ()
     chosen = []
     while mask:
         high = mask.bit_length()
@@ -467,11 +458,6 @@ def _move(table: dict[int, int], *pairs: tuple[int, int]) -> dict[int, int]:
             target ^= run << end
     if not any(fields):
         return table
-    if len(fields) == 1:
-        [shift] = fields
-        if shift > 0:
-            return {mask << shift: coeff for mask, coeff in table.items()}
-        return {mask >> -shift: coeff for mask, coeff in table.items()}
     moves = list(fields.items())
 
     def moved(mask: int) -> int:
@@ -489,17 +475,11 @@ def _spread(p: Polynomial, names: Sequence[str]) -> dict[int, int]:
 
 
 def _align(p: Polynomial, q: Polynomial) -> tuple[tuple[str, ...], dict[int, int], dict[int, int]]:
-    # The union of p's and q's names and both tables over it.  The names
-    # only the smaller operand has split the larger one's bits into runs.
+    # The union of p's and q's names and both tables over it.
     if p._names == q._names:
         return p._names, p._table, q._table
-    big, small = (p, q) if len(p._names) >= len(q._names) else (q, p)
-    known = set(big._names)
-    extra = [name for name in small._names if name not in known]
-    names = tuple(sorted(big._names + tuple(extra))) if extra else big._names
-    gaps = ((1 << len(names)) - 1) ^ _bits(names, extra)
-    spread = _move(big._table, ((1 << len(big._names)) - 1, gaps))
-    return (names, spread, _spread(small, names)) if big is p else (names, _spread(small, names), spread)
+    names = tuple(sorted({*p._names, *q._names}))
+    return names, _spread(p, names), _spread(q, names)
 
 
 def _restrict(p: Polynomial, bits: Mapping[str, int]) -> Polynomial:
@@ -538,21 +518,10 @@ def _add_into(table: dict[int, int], terms: Mapping[int, int], sign: int) -> dic
 
 
 def _product(p: dict[int, int], q: dict[int, int]) -> dict[int, int]:
-    """The flattening product of two tables: by a one-term factor in one
-    step, unless two of its monomials meet; as value vectors when, over
+    """The flattening product of two tables: as value vectors when, over
     the n bits either table uses, the term pairs outnumber n*2**n plus
     _DENSE_SETUP; otherwise term by term.  Zero coefficients may remain."""
-    if len(p) > len(q):
-        p, q = q, p
-    if len(p) == 1:
-        [(m, c)] = p.items()
-        if len(q) == 1:
-            [(a, ca)] = q.items()
-            return {a | m: c * ca}
-        table = {a | m: c * ca for a, ca in q.items()}
-        if len(table) == len(q):
-            return table
-    elif p:
+    if p and q:
         used = reduce(or_, p) | reduce(or_, q)
         if (used.bit_count() << used.bit_count()) + _DENSE_SETUP < len(p) * len(q):
             return _dense_product(p, q, used)
@@ -671,7 +640,7 @@ def point_polynomials(p: Polynomial, names: Sequence[str]) -> list[Polynomial]:
         # m names takes few distinct values among its 2**m (1-29% of them
         # in the benchmark's developments over 6-10 names).
         values = groups[0]
-        made = {value: Polynomial._constant(value) for value in set(values)}
+        made = {value: Polynomial._make((), {0: value}) for value in set(values)}
         return list(map(made.__getitem__, values))
     return [Polynomial._make(rest, dict(zip(groups, values))) for values in zip(*groups.values())]
 
@@ -703,8 +672,5 @@ def _dense_product(p: dict[int, int], q: dict[int, int], used: int) -> dict[int,
     return _move(_coefficients(list(map(mul, *vectors))), (size - 1, used))
 
 
-_ZERO = Polynomial._constant(0)
-_ONE = Polynomial._constant(1)
-
-ZERO: Polynomial = _ZERO
-ONE: Polynomial = _ONE
+ZERO: Polynomial = Polynomial._make((), {0: 0})
+ONE: Polynomial = Polynomial._make((), {0: 1})

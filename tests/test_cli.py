@@ -19,7 +19,7 @@ import pytest
 
 import boole.polynomial
 from boole import Polynomial
-from boole.cli import _build_parser, main, poly_from_json, poly_to_json
+from boole.cli import _COMMANDS, _build_parser, main, poly_from_json, poly_to_json
 from boole.polynomial import MAX_POWER_BITS
 from boole.terms import poly
 
@@ -246,6 +246,13 @@ def test_assignment_numbers_may_have_spaces_and_a_sign(capsys):
 def test_parsed_arguments_name_the_command_and_hold_no_handler():
     args = _build_parser().parse_args(["normalize", "x"])
     assert vars(args) == {"command": "normalize", "expr": "x", "format": "text", "max_vars": None}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_every_command_parser_reads_as_the_full_parser(command):
+    # Usage, --help and "invalid choice" read the same whichever
+    # subcommand the parser is built for.
+    assert _build_parser(command).format_help() == _build_parser().format_help()
 
 
 COMMAND_OPTIONS = ("--vars", "--elim", "--for", "--file", "--classes", "--multisets")

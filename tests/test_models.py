@@ -190,6 +190,17 @@ def test_multiset_arithmetic():
         Multiset((1,)) + "a"  # type: ignore[operator]
 
 
+@pytest.mark.parametrize("values", [(1.5, 2.7), ("3",), (None,), (2, 1.0)])
+def test_multiset_values_must_be_integers(values):
+    bad = next(v for v in values if type(v) is not int)
+    with pytest.raises(TypeError, match=f"multiset value {bad!r} is not an integer"):
+        Multiset(values)
+
+
+def test_multiset_stores_a_bool_as_its_int():
+    assert str(Multiset((True, 2))) == "[1, 2]"
+
+
 def test_multiset_predicates():
     assert Multiset((0, 0)).is_zero()
     assert Multiset((1, 0)).is_characteristic()

@@ -1,7 +1,7 @@
 """Dead code in src/boole, read off the syntax trees with the standard
 library's ``ast``: an import no line of its module uses, and a private
-top-level function or class no module names.  Deleting a caller then
-fails here until what only it used goes too."""
+top-level function, class or assigned name no module names.  Deleting a
+caller then fails here until what only it used goes too."""
 
 import ast
 from pathlib import Path
@@ -74,4 +74,25 @@ def test_every_private_definition_is_named_somewhere():
             continue
         if not any(name in read for (_, statement), read in zip(statements, reads) if statement is not definition):
             dead.append(f"{module}.py:{definition.lineno} {name}")
+    assert dead == []
+
+
+def test_every_private_assigned_name_is_read_somewhere():
+    # The same rule for a private name bound by a top-level assignment,
+    # such as a module constant.
+    statements = [(module, statement) for module, tree in MODULES.items() for statement in tree.body]
+    reads = [names_in(statement) for _, statement in statements]
+    dead = []
+    for module, assignment in statements:
+        if isinstance(assignment, ast.Assign):
+            targets = assignment.targets
+        elif isinstance(assignment, ast.AnnAssign):
+            targets = [assignment.target]
+        else:
+            continue
+        for name in [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]:
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in read for (_, statement), read in zip(statements, reads) if statement is not assignment):
+                dead.append(f"{module}.py:{assignment.lineno} {name}")
     assert dead == []
