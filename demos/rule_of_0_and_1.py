@@ -6,8 +6,8 @@ are exactly the ones valid in the algebra of classes, so trying every
 branch-and-prune search: in every subcube it fixes the variables an
 antecedent forces and skips the subcube when the answer on it is already
 known.  An equation needs no trying at all: its 0 half is dropped only
-when the equation holds all over it, so each variable costs at most two
-restrictions.
+when the equation holds all over it, so each variable it mentions costs
+at most two restrictions.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 
@@ -62,14 +62,20 @@ print("variables; the split on x00 drops x00 = 0, where the consequent is 0,")
 print("and below x00 = 1 each variable forces the next, so nothing is scanned:")
 chain = " & ".join(f"{a}*(1 - {b}) = 0" for a, b in zip(names, names[1:]))
 timed("20-variable chain", f"{chain} -> x00*x19 = x00")
-print("Otherwise the free variables are split and scanned.  A subcube is")
-print("skipped when the consequent is the zero polynomial on it or an")
-print("antecedent is a nonzero constant there.  One with at most 17 free")
-print("variables is scanned whole, the sentence folded into one polynomial")
-print("(2B+1)*(sum of the antecedents' squares) + consequent, for B the sum")
-print("of the consequent's coefficients in absolute value: it is nonzero and")
-print("at most B in size exactly at a witness.  Here no rule fires: nothing")
-print("is forced, the antecedent is constant only at single points and the")
-print("square never vanishes on a subcube, so all 2**3 subcubes of 2**17")
-print("points are scanned:")
+print("Otherwise a subcube is split and scanned over the names its")
+print("sentence still mentions; every other name is 0 in the least witness.")
+print("This sentence mentions 18 names, so it is split on x00.  The x00 = 0")
+print("half mentions only x01 and x02 and is scanned over their 4 points,")
+print("and the x00 = 1 half over its 17 names:")
+tail = "*".join(names[3:18])
+timed("18-variable halves", f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
+print("A subcube is skipped when the consequent is the zero polynomial on it")
+print("or an antecedent is a nonzero constant there.  One whose sentence")
+print("mentions at most 17 names is scanned whole, the sentence folded into")
+print("one polynomial (2B+1)*(sum of the antecedents' squares) + consequent,")
+print("for B the sum of the consequent's coefficients in absolute value: it")
+print("is nonzero and at most B in size exactly at a witness.  Here no rule")
+print("fires: nothing is forced, the antecedent is constant only at single")
+print("points and the square never vanishes on a subcube, so all 2**3")
+print("subcubes of 2**17 points are scanned:")
 timed("20-variable worst case", f"{total} = 10 -> ({total} - 10)^2 = 0")

@@ -217,8 +217,8 @@ def first_difference(
     return None if found is None else found[0]
 
 
-# With antecedents left, the search prunes only subcubes of more than
-# _SCAN_NAMES free variables and scans smaller ones in pieces of
+# With antecedents left, the search prunes only subcubes whose sentence
+# mentions more than _SCAN_NAMES names and scans smaller ones in pieces of
 # 2**_PIECE_NAMES points, evaluating the sentence on every piece: pruning
 # smaller subcubes, or sharing value vectors between pieces, would make a
 # sentence's cost depend on where its variables fall in name order, not
@@ -253,13 +253,13 @@ def least_point(
     is decided by forcing alone, and a chain x1*(1 - x2) = 0 & ... ->
     x1*xn = x1 by one split with forcing below it.
 
-    A subcube with no antecedent left splits on its first free name: a
-    multilinear polynomial is zero exactly when it vanishes at every 0/1
-    point, so the 0 half holds a witness unless the consequent is zero
-    there, and an equation costs n to 2n restrictions.  With antecedents
-    left, once at most 17 variables are free, the subcube is scanned in
-    order, the sentence folded into one polynomial: at worst 2**(n-17)
-    scans of 131072 points, for n the free names."""
+    Splits and scans run over the names a subcube's sentence mentions; the
+    least witness has 0 for any other.  With no antecedents it splits on
+    the first: a multilinear polynomial is zero exactly when it vanishes
+    at every 0/1 point, so the 0 half holds a witness unless the
+    consequent is zero there, and an equation over n names costs n to 2n
+    restrictions.  With antecedents, 17 names or fewer are scanned whole,
+    in order: at worst 2**(n-17) scans of 131072 points."""
     stack = [({}, {}, consequent, antecedents)]  # bits fixed above, bits fixed here, sentence above
     while stack:
         fixed, at, p, conditions = stack.pop()
@@ -270,16 +270,16 @@ def least_point(
             continue
         fixed = {**fixed, **at}
         forced = _forced(conditions)
-        rest = [name for name in names if name not in fixed]
+        free = sorted(set(p._names).union(*[a._names for a in conditions]))
         if forced:
             parts = [forced]
-        elif len(rest) > (_SCAN_NAMES if conditions else 0):
-            parts = [{rest[0]: 1}, {rest[0]: 0}]  # the 0 half is popped first
+        elif len(free) > (_SCAN_NAMES if conditions else 0):
+            parts = [{free[0]: 1}, {free[0]: 0}]  # the 0 half is popped first
         else:
-            found = _scan(p, conditions, rest) if conditions else (0, p.constant_value())
+            found = _scan(p, conditions, free) if conditions else (0, p.constant_value())
             if found is not None:
-                bits = iter(format(found[0], f"0{len(rest)}b"))
-                return "".join(str(fixed[name]) if name in fixed else next(bits) for name in names), found[1]
+                fixed.update(zip(free, map(int, format(found[0], f"0{len(free)}b"))))
+                return "".join(str(fixed.get(name, 0)) for name in names), found[1]
             continue
         stack.extend((fixed, part, p, conditions) for part in parts)
     return None

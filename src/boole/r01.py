@@ -12,13 +12,12 @@ are out of scope here.  The checker is the branch-and-prune search
 name an antecedent forces (x*y = 1 forces x and y to 1, x = 0 forces x
 to 0), so the 20-variable demo x00*...*x19 = 1 -> x00+...+x19 = 20 is
 decided before any split or scan, and a chain x00*(1 - x01) = 0 & ...
--> x00*x19 = x00 with one split.  An equation is decided by splits
-alone, one or two restrictions per variable, and no scan.  A
-quasi-equation is folded into one polynomial per scanned subcube:
-Boole's reduction of the antecedents to the sum of their squares, scaled
-past every value the consequent can take, plus the consequent.  It
-costs at worst 2**(n-17) scans of 131072 points, for n the names left
-free.
+-> x00*x19 = x00 with one split.  Splits and scans run over the names
+the subcube's sentence mentions; an equation over n of them is decided
+by n to 2n restrictions and no scan.  A quasi-equation is folded into
+one polynomial per scanned subcube: Boole's reduction of the antecedents
+to the sum of their squares, scaled past every value the consequent can
+take, plus the consequent, at worst 2**(n-17) scans of 131072 points.
 """
 
 from __future__ import annotations

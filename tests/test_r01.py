@@ -360,6 +360,20 @@ def test_a_half_that_is_never_popped_is_never_restricted(monkeypatch):
     assert all(bits.get("x00") != 1 for bits in calls)
 
 
+def test_a_half_scans_only_the_names_its_sentence_mentions(monkeypatch):
+    # 18 names, so the search splits on x00.  The x00 = 0 half mentions
+    # only x01 and x02 and scans 4 points; the x00 = 1 half mentions 17
+    # names and scans 2**7 pieces of 2**10 points.  Scanning over every
+    # name left would scan 2**17 points in both halves.
+    tail = "*".join(f"x{i:02d}" for i in range(3, 18))
+    sentence = parse_horn(f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
+    sizes = transforms_of(monkeypatch)
+    verdict = check_r01(sentence)
+    assert verdict.holds
+    assert verdict == oracle_check_r01(sentence)
+    assert sizes.count(2**10) == 2**7
+
+
 def test_search_scans_at_most_ten_names(monkeypatch):
     scanned = transforms_of(monkeypatch)
     assert check_r01(parse_horn(SQUARED)).holds
@@ -437,6 +451,14 @@ def test_equations_run_no_transform(monkeypatch):
     counter = holds_in_idempotents(last, Universe(1))
     assert dict(counter.masks) == dict.fromkeys(TWENTY, 1)
     assert transforms == []
+
+
+def test_an_equation_restricts_only_the_names_it_mentions(monkeypatch):
+    # a, b and x are in the list but not in x - (x + y*z) = -y*z, so
+    # they are 0 in the answer and never split
+    calls = restrictions_of(monkeypatch)
+    assert first_difference(x, x + y * z, ("a", "b", "x", "y", "z")) == "00011"
+    assert calls and {name for bits in calls for name in bits} <= {"y", "z"}
 
 
 def test_equation_failing_only_at_the_last_point_is_quick(monkeypatch):
