@@ -4,10 +4,11 @@ Equations and quasi-equations valid for integers restricted to {0, 1}
 are exactly the ones valid in the algebra of classes, so trying every
 0/1 point is a full decision procedure.  The checker tries them as a
 branch-and-prune search: in every subcube it fixes the variables an
-antecedent forces and skips the subcube when the answer on it is already
-known.  An equation needs no trying at all: its 0 half is dropped only
-when the equation holds all over it, so each variable it mentions costs
-at most two restrictions.
+antecedent forces, replaces y by x or 1 - x where an antecedent says
+y = x or y = 1 - x, and skips the subcube when the answer on it is
+already known.  An equation needs no trying at all: its 0 half is
+dropped only when the equation holds all over it, so each variable it
+mentions costs at most two restrictions.
 Run with:  python3 demos/rule_of_0_and_1.py
 """
 
@@ -62,13 +63,21 @@ print("variables; the split on x00 drops x00 = 0, where the consequent is 0,")
 print("and below x00 = 1 each variable forces the next, so nothing is scanned:")
 chain = " & ".join(f"{a}*(1 - {b}) = 0" for a, b in zip(names, names[1:]))
 timed("20-variable chain", f"{chain} -> x00*x19 = x00")
+print("An antecedent over two names x < y that holds exactly where y = x,")
+print("or exactly where y = 1 - x, is a literal: in a subcube whose sentence")
+print("mentions more than 10 names and forces nothing, y is replaced by x or")
+print("1 - x throughout, the antecedent is dropped, and forcing runs again.")
+print("A witness found later gets y back from x's bit.  Here x02 := x01 makes")
+print("the consequent 0, so the 18-name sentence needs no split and no scan:")
+tail = "*".join(names[3:18])
+timed("18-variable literal", f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
 print("Otherwise a subcube is split and scanned over the names its")
 print("sentence still mentions; every other name is 0 in the least witness.")
-print("This sentence mentions 18 names, so it is split on x00.  The x00 = 0")
-print("half mentions only x01 and x02 and is scanned over their 4 points,")
-print("and the x00 = 1 half over its 17 names:")
-tail = "*".join(names[3:18])
-timed("18-variable halves", f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
+print("With x01*(1 - x02) = 0, which is no literal, the sentence is split on")
+print("x00.  The x00 = 0 half mentions only x01 and x02 and is scanned over")
+print("their 4 points, and the x00 = 1 half over its 17 names:")
+halves = f"(1 - x00)*x01*(1 - x02) + x00*{tail}*x01*(1 - x02) = 0"
+timed("18-variable halves", f"x01*(1 - x02) = 0 -> {halves}")
 print("A subcube is skipped when the consequent is the zero polynomial on it")
 print("or an antecedent is a nonzero constant there.  One whose sentence")
 print("mentions at most 17 names is scanned whole, the sentence folded into")

@@ -224,7 +224,11 @@ def first_difference(
 # sentence's cost depend on where its variables fall in name order, not
 # just on n and the witness.  The names an antecedent forces are fixed in
 # every subcube before it is split or scanned, wherever they fall in name
-# order, so that rule keeps the same steady cost.
+# order, so that rule keeps the same steady cost.  The literals y = x and
+# y = 1 - x that antecedents state are substituted at the same point, but
+# only where the sentence mentions more than _PIECE_NAMES names: a
+# one-piece scan is one transform of at most 2**_PIECE_NAMES entries,
+# which costs less than substituting.
 _SCAN_NAMES = 17
 _PIECE_NAMES = 10
 
@@ -240,9 +244,10 @@ def least_point(
 
     Branch and prune, 0 before 1, on an explicit stack of subcubes.  An
     entry holds the bits fixed above a subcube, the bits the subcube fixes
-    (one half of a split, or the names an antecedent forces) and the
-    sentence above it, which is restricted to those bits when the entry is
-    popped, so a half that is never popped is never restricted.  A subcube
+    (one half of a split, or the names an antecedent forces), the sentence
+    above it and the literals substituted into that sentence.  The
+    sentence is restricted to the entry's bits when it is popped, so a
+    half that is never popped is never restricted.  A subcube
     is dropped when the consequent is the zero polynomial on it or an
     antecedent a nonzero constant, and an antecedent that is the zero
     polynomial holds on the whole subcube and is dropped itself.  Then the
@@ -253,6 +258,19 @@ def least_point(
     is decided by forcing alone, and a chain x1*(1 - x2) = 0 & ... ->
     x1*xn = x1 by one split with forcing below it.
 
+    Where nothing is forced and the sentence mentions more than
+    _PIECE_NAMES names, an antecedent over two names x < y that holds for
+    exactly one y at each x, and not the same one, is a literal: y = x or
+    y = 1 - x.  Its values at the four points of (x, y) are read off its
+    coefficients.  Boole's method of solution gives y as that literal,
+    with no condition and no freedom, so y is substituted throughout, the
+    antecedent is dropped and the entry goes back on the stack, where
+    forcing and the checks run again.  Every witness has y = x (or 1 - x)
+    and x comes before y, so witnesses keep their order when y is left
+    out, and the least witness of the smaller sentence gives the least of
+    the old one: at a witness each substituted y takes its literal's
+    value at x's final bit, last substitution first.
+
     Splits and scans run over the names a subcube's sentence mentions; the
     least witness has 0 for any other.  With no antecedents it splits on
     the first: a multilinear polynomial is zero exactly when it vanishes
@@ -260,9 +278,10 @@ def least_point(
     consequent is zero there, and an equation over n names costs n to 2n
     restrictions.  With antecedents, 17 names or fewer are scanned whole,
     in order: at worst 2**(n-17) scans of 131072 points."""
-    stack = [({}, {}, consequent, antecedents)]  # bits fixed above, bits fixed here, sentence above
+    # bits fixed above, bits fixed here, sentence above, literals substituted
+    stack = [({}, {}, consequent, antecedents, ())]
     while stack:
-        fixed, at, p, conditions = stack.pop()
+        fixed, at, p, conditions, literals = stack.pop()
         if at:
             p, *conditions = [_restrict(q, at) for q in (p, *conditions)]
         conditions = [a for a in conditions if a]
@@ -273,15 +292,35 @@ def least_point(
         free = sorted(set(p._names).union(*[a._names for a in conditions]))
         if forced:
             parts = [forced]
+        elif len(free) > _PIECE_NAMES and (literal := _literal(conditions)):
+            i, y, x, negated = literal
+            value = 1 - Polynomial.variable(x) if negated else Polynomial.variable(x)
+            p, *conditions = [q.substitute(y, value) for q in (p, *conditions[:i], *conditions[i + 1 :])]
+            stack.append((fixed, {}, p, conditions, (*literals, (y, x, negated))))
+            continue
         elif len(free) > (_SCAN_NAMES if conditions else 0):
             parts = [{free[0]: 1}, {free[0]: 0}]  # the 0 half is popped first
         else:
             found = _scan(p, conditions, free) if conditions else (0, p.constant_value())
             if found is not None:
                 fixed.update(zip(free, map(int, format(found[0], f"0{len(free)}b"))))
+                for y, x, negated in reversed(literals):
+                    fixed[y] = fixed.get(x, 0) ^ negated
                 return "".join(str(fixed.get(name, 0)) for name in names), found[1]
             continue
-        stack.extend((fixed, part, p, conditions) for part in parts)
+        stack.extend((fixed, part, p, conditions, literals) for part in parts)
+    return None
+
+
+def _literal(antecedents: Sequence[Polynomial]) -> tuple[int, str, str, bool] | None:
+    # (index, y, x, negated) of the first antecedent that is a literal,
+    # y = x or, negated, y = 1 - x (see least_point); None if there is none.
+    # Its value at a point of (x, y) sums the coefficients the point covers.
+    for i, a in enumerate(antecedents):
+        if len(a._names) == 2:
+            zeros = sum(1 << point for point in range(4) if not sum(c for m, c in a._table.items() if m & point == m))
+            if zeros in (0b1001, 0b0110):  # bit 2*x + y is set where a is 0
+                return i, a._names[1], a._names[0], zeros == 0b0110
     return None
 
 

@@ -12,12 +12,17 @@ are out of scope here.  The checker is the branch-and-prune search
 name an antecedent forces (x*y = 1 forces x and y to 1, x = 0 forces x
 to 0), so the 20-variable demo x00*...*x19 = 1 -> x00+...+x19 = 20 is
 decided before any split or scan, and a chain x00*(1 - x01) = 0 & ...
--> x00*x19 = x00 with one split.  Splits and scans run over the names
-the subcube's sentence mentions; an equation over n of them is decided
-by n to 2n restrictions and no scan.  A quasi-equation is folded into
-one polynomial per scanned subcube: Boole's reduction of the antecedents
-to the sum of their squares, scaled past every value the consequent can
-take, plus the consequent, at worst 2**(n-17) scans of 131072 points.
+-> x00*x19 = x00 with one split.  In a subcube that forces nothing and
+whose sentence mentions more than 10 names, an antecedent that says
+y = x or y = 1 - x for names x < y (x = y, x + y = 1, 3*x = 3*y,
+(x - y)^2 = 0) is solved for y, as Boole's method of solution does, and
+y is substituted throughout; a witness found later takes y from x's bit.
+Splits and scans run over the names the subcube's sentence mentions; an
+equation over n of them is decided by n to 2n restrictions and no scan.
+A quasi-equation is folded into one polynomial per scanned subcube:
+Boole's reduction of the antecedents to the sum of their squares, scaled
+past every value the consequent can take, plus the consequent, at worst
+2**(n-17) scans of 131072 points.
 """
 
 from __future__ import annotations

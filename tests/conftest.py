@@ -858,6 +858,9 @@ def horn_sentences(draw) -> HornSentence:
     if len(names) >= 3:
         triples = st.permutations(names).map(lambda order: [Polynomial.variable(v) for v in order[:3]])
         shapes.append(triples.flatmap(lambda t: st.sampled_from((t[0] - t[1], t[0] * t[1] - t[2], t[0] + t[1] - 1))))
+        # the literals y = x and y = 1 - x, scaled and squared
+        literals = triples.flatmap(lambda t: st.sampled_from((t[0] - t[1], t[0] + t[1] - 1)))
+        shapes.append(st.one_of(st.builds(lambda c, a: c * a, nonzero, literals), literals.map(lambda a: a * a)))
     antecedents = draw(st.lists(st.one_of(shapes), max_size=3))
     consequent = draw(st.one_of(st.just(ZERO), small, wide, sums, st.builds(lambda p, q: p * q, wide, sums)))
     for antecedent in antecedents:

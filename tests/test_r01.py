@@ -360,18 +360,43 @@ def test_a_half_that_is_never_popped_is_never_restricted(monkeypatch):
     assert all(bits.get("x00") != 1 for bits in calls)
 
 
+def substitutions_of(monkeypatch):
+    # The name and the replacement of every Polynomial.substitute call, in
+    # call order.
+    calls = []
+    original = Polynomial.substitute
+
+    def spy(p, name, replacement):
+        calls.append((name, str(replacement)))
+        return original(p, name, replacement)
+
+    monkeypatch.setattr(Polynomial, "substitute", spy)
+    return calls
+
+
 def test_a_half_scans_only_the_names_its_sentence_mentions(monkeypatch):
-    # 18 names, so the search splits on x00.  The x00 = 0 half mentions
-    # only x01 and x02 and scans 4 points; the x00 = 1 half mentions 17
-    # names and scans 2**7 pieces of 2**10 points.  Scanning over every
-    # name left would scan 2**17 points in both halves.
+    # 18 names.  With the literal antecedent x01 = x02, x02 := x01 makes
+    # the consequent the zero polynomial before any split or scan.  With
+    # x01*(1 - x02) = 0 the search splits on x00: the x00 = 0 half
+    # mentions only x01 and x02 and scans 4 points, and the x00 = 1 half
+    # mentions 17 names and scans 2**7 pieces of 2**10 points.  Scanning
+    # over every name left would scan 2**17 points in both halves.
     tail = "*".join(f"x{i:02d}" for i in range(3, 18))
-    sentence = parse_horn(f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
+    literal = parse_horn(f"x01 = x02 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*(x01 - x02) = 0")
+    implication = parse_horn(f"x01*(1 - x02) = 0 -> (1 - x00)*x01*(1 - x02) + x00*{tail}*x01*(1 - x02) = 0")
     sizes = transforms_of(monkeypatch)
-    verdict = check_r01(sentence)
+    substituted = substitutions_of(monkeypatch)
+    verdict = check_r01(literal)
     assert verdict.holds
-    assert verdict == oracle_check_r01(sentence)
-    assert sizes.count(2**10) == 2**7
+    assert verdict == oracle_check_r01(literal)
+    assert sizes == []
+    assert substituted == [("x02", "x01")]
+    substituted.clear()
+    verdict = check_r01(implication)
+    assert verdict.holds
+    assert verdict == oracle_check_r01(implication)
+    assert sorted(sizes) == [4] + [2**10] * 2**7
+    assert substituted == []
 
 
 def test_search_scans_at_most_ten_names(monkeypatch):
@@ -416,21 +441,124 @@ def test_scan_cost_does_not_depend_on_name_order(monkeypatch):
     # sentences of one shape make the same transforms wherever their
     # variables fall in name order.  Forced names are fixed before any
     # split, so three of them first, in the middle or last among 20 names
-    # leave the same 17-name scan.
+    # leave the same 17-name scan, or, when the other antecedent is the
+    # literal a = b, the same substitution b := a, which makes the
+    # consequent the zero polynomial with no scan.
     sizes = transforms_of(monkeypatch)
-    counts = []
+    substituted = substitutions_of(monkeypatch)
     cases = [(("x00", "x01"), ()), (("x15", "x16"), ())]
     cases += [(pair, forced) for pair in (("x03", "x04"), ("x18", "x19")) for forced in (TWENTY[:3], TWENTY[8:11])]
     cases += [(("x00", "x01"), TWENTY[17:])]
     for (a, b), forced in cases:
-        sizes.clear()
         free = [name for name in TWENTY if name not in forced][:17]
         rest = " + ".join(name for name in free if name not in (a, b))
         force = f"{'*'.join(forced)} = 1 & " if forced else ""
         tail = f"*{forced[0]}" if forced else ""
+        sizes.clear()
+        substituted.clear()
         assert check_r01(parse_horn(f"{force}{a} = {b} -> {a}*({rest}){tail} = {b}*({rest})")).holds
-        counts.append(sizes.count(2**10))
-    assert counts == [2**7] * len(cases)
+        assert (sizes.count(2**10), substituted) == (0, [(b, a)])
+        sizes.clear()
+        assert check_r01(parse_horn(f"{force}{a}*(1 - {b}) = 0 -> {a}*({rest}){tail} = {a}*{b}*({rest})")).holds
+        assert (sizes.count(2**10), substituted) == (2**7, [(b, a)])
+
+
+def test_a_literal_removes_one_name_from_a_scan(monkeypatch):
+    # 14 names: x13 := x00 leaves x01*(1 - x02) = 0 and a consequent over
+    # x00..x12, a 13-name scan of 2**3 pieces; scanning all 14 names makes
+    # 2**4.
+    middle = " + ".join(f"x{i:02d}" for i in range(3, 13))
+    sentence = parse_horn(f"x00 = x13 & x01*(1 - x02) = 0 -> x01*(1 - x02)*(x00 + {middle} + x13) = 0")
+    sizes = transforms_of(monkeypatch)
+    substituted = substitutions_of(monkeypatch)
+    verdict = check_r01(sentence)
+    assert verdict.holds
+    assert verdict == oracle_check_r01(sentence)
+    assert sizes == [2**10] * 2**3
+    assert substituted == [("x13", "x00")] * 2
+
+
+def test_a_one_piece_sentence_is_scanned_not_substituted(monkeypatch):
+    # 10 names fit one piece, whose one transform costs less than solving
+    rest = " + ".join(TWENTY[2:10])
+    sentence = parse_horn(f"x00 = x01 -> x00*({rest}) = x01*({rest})")
+    sizes = transforms_of(monkeypatch)
+    substituted = substitutions_of(monkeypatch)
+    assert check_r01(sentence).holds
+    assert (sizes, substituted) == ([2**10], [])
+
+
+# Literal antecedents in each form (y = x, y = 1 - x, scaled, squared),
+# chains in both orders, and literals whose x is forced or split later.
+LITERALS = [
+    "x = y -> x*z = y*z",
+    "x = y -> x*z = y",
+    "x + y = 1 -> x*y = 0",
+    "x + y = 1 -> x = z",
+    "a + b = 1 -> c = 0",
+    "3*x = 3*y -> 2*x*z = x + y*z",
+    "-2*x - 2*y = -2 -> 5*x*z = 5*z",
+    "(x - y)^2 = 0 -> x + y = 2*z",
+    "(x + y - 1)^2 = 0 -> y*z = 1",
+    "x = y & y = z -> x*z = y",
+    "x = y & y = z -> x + z = 1",
+    "y = z & x = y -> z = 0",
+    "y + z = 1 & x = y -> z = w",
+    "x = y & x + y = 2 -> z = 0",
+    "x + y = 1 & 2*x + y = 1 -> z = y",
+    "x = y -> x*z = 1",
+    "x = y & z*(1 - w) = 0 -> x*w = z",
+]
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_literals_match_the_sweep(monkeypatch, text):
+    # _PIECE_NAMES = 0 lets these small sentences substitute their
+    # literals; _SCAN_NAMES = 0 also splits each subcube before it scans.
+    sentence = parse_horn(text)
+    want = oracle_check_r01(sentence)
+    monkeypatch.setattr(boole.development, "_PIECE_NAMES", 0)
+    substituted = substitutions_of(monkeypatch)
+    for scan in (boole.development._SCAN_NAMES, 0):
+        monkeypatch.setattr(boole.development, "_SCAN_NAMES", scan)
+        verdict = check_r01(sentence)
+        assert verdict == want
+        if not want.holds:
+            assert list(verdict.witness) == list(want.witness)
+    assert substituted
+
+
+# Antecedents over two names that are not literals: y = 0 or y = 1
+# wherever they hold, one y at only one x, or both y at some x.
+NOT_LITERALS = [
+    "y + x*y = 0 -> y = 0",
+    "(1 - y)*(1 + x) = 0 -> x*y = x",
+    "2*x + y = 1 -> x + y = 1",
+    "x + y = 2 -> x*y = 1",
+    "x*(1 - y) = 0 -> x = y",
+    "x*y = 0 -> x + y = 1",
+]
+
+
+@pytest.mark.parametrize("text", NOT_LITERALS)
+def test_other_two_name_antecedents_are_not_substituted(monkeypatch, text):
+    sentence = parse_horn(text)
+    monkeypatch.setattr(boole.development, "_PIECE_NAMES", 0)
+    substituted = substitutions_of(monkeypatch)
+    verdict = check_r01(sentence)
+    assert verdict == oracle_check_r01(sentence)
+    assert substituted == []
+
+
+@settings(deadline=None, max_examples=100)
+@given(horn_sentences())
+def test_substitution_matches_the_sweep(sentence):
+    want = oracle_check_r01(sentence)
+    with mock.patch.object(boole.development, "_PIECE_NAMES", 0):
+        verdict = check_r01(sentence)
+    assert verdict == want
+    if not want.holds:
+        assert list(verdict.witness) == list(want.witness)
 
 
 # ----------------------------------------------------------------------
